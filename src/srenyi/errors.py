@@ -47,4 +47,21 @@ class ConvergenceError(RuntimeError):
 
 
 class SpectrumConsistencyError(ArithmeticError):
-    """A computed spectrum violates its own monotonicity/consistency laws."""
+    """A computed spectrum violates its own monotonicity/consistency laws.
+
+    ``order`` is the order of the offending row, ``neighbour`` the order of
+    the row it was compared with (None when the law concerns one row), and
+    ``residual`` by how much the law is missed, in the units of its check.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        order: float | None = None,
+        neighbour: float | None = None,
+        residual: float | None = None,
+    ):
+        super().__init__(message)
+        self.order = order
+        self.neighbour = neighbour
+        self.residual = residual

@@ -23,11 +23,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import SupportViolationError
-from .means import log_power_mean, power_mean
-from .measures import MassMeasure, aligned_weights, normalize, ratio, total_mass
+from .means import (
+    _check_order,
+    _log_moments,
+    _logsumexp,
+    _LogSupport,
+    log_power_mean,
+    power_mean,
+)
+from .measures import MassMeasure, _aligned_ratio, aligned_weights, normalize, total_mass
 
 __all__ = [
     "EntropyValue",
@@ -72,13 +78,6 @@ def _check_base(base: float) -> float:
     return base
 
 
-def _check_order(r: float) -> float:
-    r = float(r)
-    if math.isnan(r):
-        raise ValueError("order must not be NaN")
-    return r
-
-
 def shifted_entropy(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> EntropyValue:
     """Shifted Renyi entropy ``-log_b M_r(w_hat, w)`` of a mass measure."""
     base = _check_base(base)
@@ -98,8 +97,8 @@ def shifted_divergence(
     """
     base = _check_base(base)
     r = _check_order(r)
-    _, pw, _ = aligned_weights(p, q)
-    rat = ratio(p, q)
+    labels, pw, qw = aligned_weights(p, q)
+    rat = _aligned_ratio(labels, pw, qw)
     nat = log_power_mean(pw[pw > 0], rat, r)
     return EntropyValue(nat / math.log(base), base, r)
 
@@ -176,7 +175,7 @@ def _escort_decomposition(m: MassMeasure, r: float) -> tuple[float, float, float
     """
     ln_p = _support_log_probs(m)
     log_t = (1.0 + r) * ln_p
-    log_rho = log_t - logsumexp(log_t)
+    log_rho = log_t - _logsumexp(log_t)
     rho = np.exp(log_rho)
     live = rho > 0
     with np.errstate(invalid="ignore"):
@@ -186,40 +185,89 @@ def _escort_decomposition(m: MassMeasure, r: float) -> tuple[float, float, float
     return kl, cross, ent
 
 
+# Up to this |r| * (max ln p - min ln p) the slope comes from its Taylor
+# series at r = 0, whose first dropped term is ~(|r| * spread)**3 / 15
+# relative; beyond it the rounding error of the closed form, which grows
+# like 1e-16 / (|r| * spread), is the smaller one.
+SLOPE_SERIES_RADIUS = 1e-3
+
+
+class _SelfSpectrum:
+    """Every column of a spectrum row of one measure ``m``, at any order,
+    from one kernel pass over its log-support, which is computed once.
+
+    With ``w_hat`` the normalized weights, all four columns at order ``r``
+    are views of the log-moment ``K(r) = ln sum w_hat * w**r``, which for a
+    distribution is ``ln sum p**(1+r)``: the entropy is ``-K / (r ln b)``,
+    the equivalent probability ``exp(K / r)``, the potential ``exp(K)``,
+    and the slope ``-(r K' - K) / (r**2 ln b)`` needs only
+    ``K' = E_rho[ln w]`` under the self-escort ``rho ~ w_hat * w**r``,
+    which comes from the same exponential pass.  The first three are
+    bitwise the values of the scalar functions.
+    """
+
+    def __init__(self, m: MassMeasure, base: float):
+        self.base = _check_base(base)
+        self.ln_b = math.log(self.base)
+        self.support = _LogSupport(m.weights, m.weights)
+        w, log_x = self.support.norm_w, self.support.log_x
+        self.spread = float(log_x.max() - log_x.min())
+        # second to fourth cumulants of ln w (equivalently ln p_hat) under w_hat
+        d = log_x - float(np.sum(w * log_x))
+        d2 = d * d
+        k2 = float(np.sum(w * d2))
+        self.cumulants = (
+            k2,
+            float(np.sum(w * d2 * d)),
+            float(np.sum(w * d2 * d2)) - 3.0 * k2 * k2,
+        )
+
+    def row(self, r: float) -> tuple[EntropyValue, float, float | None, float | None]:
+        """``(entropy, equiv_prob, potential, slope)`` at order ``r``; the
+        last two are None at ``r = +-inf``."""
+        series = abs(r) * self.spread <= SLOPE_SERIES_RADIUS
+        log_mean, escort_mean = _log_moments(
+            self.support, r, escort=math.isfinite(r) and not series
+        )
+        entropy = EntropyValue(-log_mean / self.ln_b, self.base, r)
+        if math.isinf(r):
+            values = self.support.values
+            return entropy, float(values.max() if r > 0 else values.min()), None, None
+        with np.errstate(over="ignore"):
+            prob = float(np.exp(log_mean))
+            potential = 1.0 if r == 0.0 else float(np.exp(r * log_mean))
+        if series:
+            # (r K' - K) / r**2 = k2/2 + r k3/3 + r**2 k4/8 + O(r**3)
+            k2, k3, k4 = self.cumulants
+            kl_over_r2 = 0.5 * k2 + r * k3 / 3.0 + r * r * k4 / 8.0
+        else:
+            # (r K' - K) / r**2 = D_0(rho || w_hat) / r**2, never negative
+            kl_over_r2 = max((escort_mean - log_mean) / r, 0.0)
+        slope = -kl_over_r2 / self.ln_b
+        return entropy, prob, potential, slope if slope < 0.0 else 0.0
+
+
 def entropy_derivative(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> float:
     """d/dr of the entropy spectrum ``r -> H_r(m)`` at finite ``r``.
 
-    For ``r != 0`` this is the closed form
+    Away from ``r = 0`` this is the closed form
 
         H_r'(r) = -(1/r**2) * D_0(escort_r || p) / ln(b)
 
     with the order-0 divergence of the self-escort, which makes the sign
     explicit: the spectrum never increases, so the result is always <= 0.
-    At ``r = 0`` the closed form degenerates and a Richardson-extrapolated
-    central difference (h = 1e-5) is used instead.
+    The closed form cancels catastrophically as ``r -> 0``, so within
+    ``|r| * (max ln p - min ln p) <= SLOPE_SERIES_RADIUS`` its Taylor series
+    in the cumulants ``k_n`` of ``ln p`` under ``p`` is used instead,
+
+        H_r'(r) = -(k_2/2 + r k_3/3 + r**2 k_4/8) / ln(b),
+
+    which at ``r = 0`` is the exact ``-Var_p(ln p) / (2 ln b)``.
     """
-    base = _check_base(base)
     r = _check_order(r)
     if math.isinf(r):
         raise ValueError("the spectrum derivative needs a finite order")
-    if r == 0.0:
-        h = 1e-5
-        # differentiate the normalized spectrum: the displacement of an
-        # unnormalized measure is order-independent, so it cancels exactly,
-        # and the smaller entropies keep the difference quotient quiet
-        dist = normalize(m)
-
-        def H(at: float) -> float:
-            return shifted_entropy(dist, at, base).value
-
-        wide = (H(h) - H(-h)) / (2.0 * h)
-        narrow = (H(h / 2.0) - H(-h / 2.0)) / h
-        est = (4.0 * narrow - wide) / 3.0
-        return est if est < 0.0 else 0.0
-    kl, _, _ = _escort_decomposition(m, r)
-    kl = max(kl, 0.0)
-    val = -kl / (r * r * math.log(base))
-    return val if val < 0.0 else 0.0
+    return _SelfSpectrum(m, base).row(r)[3]
 
 
 def entropy_via_escort_rewrite(

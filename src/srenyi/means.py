@@ -8,12 +8,13 @@ the weighted geometric mean, and any other finite value the power mean
 
 Finite nonzero orders are evaluated in the log domain,
 
-    log M_r = logsumexp(log(w_i / W) + r * log(x_i)) / r,
+    log M_r = log(sum_i exp(log(w_i / W) + r * log(x_i))) / r,
 
-so that orders like ``r = 50`` on probability-sized values survive double
-precision where the direct sum would overflow or underflow; tiny orders
-switch to expm1/log1p (and ultimately series) evaluations that stay accurate
-through the geometric limit.  Entries with zero weight are dropped before
+with the sum shifted by its largest exponent (a log-sum-exp), so that orders
+like ``r = 50`` on probability-sized values survive double precision where
+the direct sum would overflow or underflow; tiny orders switch to
+expm1/log1p (and ultimately series) evaluations that stay accurate through
+the geometric limit.  Entries with zero weight are dropped before
 anything else happens; values may be ``0`` or ``+inf``, weights must be
 finite and non-negative with a positive total.
 
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DiscontinuityError, DivergentEscortError
 
@@ -80,6 +80,95 @@ def _positive_support(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return w[mask], x[mask]
 
 
+def _shifted_exp(a: np.ndarray) -> tuple[float, np.ndarray | None, float]:
+    """One max-shifted exponential pass: ``top = max(a)``, ``e = exp(a - top)``
+    and ``total = sum(e)``.
+
+    ``ln(sum(exp(a))) = top + ln(total)`` then holds with no term able to
+    overflow, and ``e / total`` are the normalized weights ``exp(a) / sum``.
+    An infinite ``top`` leaves nothing to shift: ``(top, None, 1.0)`` comes
+    back, which keeps ``top + ln(total) = top``.
+    """
+    top = float(a.max())
+    if math.isinf(top):
+        return top, None, 1.0
+    e = np.exp(a - top)
+    return top, e, float(e.sum())
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    top, _, total = _shifted_exp(a)
+    return top + math.log(total)
+
+
+class _LogSupport:
+    """Everything about one ``(weights, values)`` pair that does not depend
+    on the order, computed once: the normalized weights ``w_hat`` and their
+    logs, and the logs of the values, all on the positive-weight support.
+
+    ``scale`` (the largest finite ``|ln x|``) selects the branch of
+    :func:`_log_moments` at each order without another pass over the data.
+    """
+
+    __slots__ = ("values", "norm_w", "log_w", "log_x", "finite", "scale")
+
+    def __init__(self, weights: ArrayLike, values: ArrayLike):
+        w, x = _positive_support(*_as_weight_value_arrays(weights, values))
+        total = w.sum()
+        self.values = x
+        self.norm_w = w / total
+        self.log_w = np.log(w) - math.log(total)
+        with np.errstate(divide="ignore"):
+            self.log_x = np.log(x)
+        finite = np.isfinite(self.log_x)
+        self.finite = bool(finite.all())
+        self.scale = float(np.abs(self.log_x[finite]).max()) if finite.any() else 0.0
+
+
+def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float, float | None]:
+    """``ln M_r`` of a log-support and, when ``escort`` is set, the escort
+    log mean ``E_rho[ln x]`` with ``rho_i ~ w_i * x_i**r``.
+
+    This is the one kernel behind every mean, entropy and spectrum column;
+    :func:`log_power_mean` documents the branches and conventions.  The
+    escort mean reuses the exponential pass of the log-sum-exp branch; it
+    needs every value positive and finite and is None when not asked for.
+    """
+    log_x = s.log_x
+    if math.isinf(r):
+        return float(log_x.max() if r > 0 else log_x.min()), None
+    if r == 0.0:
+        if np.isneginf(log_x).any() and np.isposinf(log_x).any():
+            raise DiscontinuityError(
+                "order-0 mean is undefined: values contain both 0 and inf"
+            )
+        # elementwise product, not dot: BLAS is not guaranteed to propagate
+        # the -inf from log(0) correctly
+        geo = float(np.sum(s.norm_w * log_x))
+        return geo, geo if escort else None
+    scaled = r * log_x
+    if abs(r) * s.scale > 1.0:
+        top, e, total = _shifted_exp(s.log_w + scaled)
+        log_mean = (top + math.log(total)) / r
+        return log_mean, float(np.dot(e, log_x)) / total if escort else None
+    if s.finite and abs(r) * s.scale < 1e-300:
+        # r*log(x) underflows into subnormals, where the product itself
+        # cannot be trusted; expand around the geometric mean instead, with
+        # an O(r^2) truncation error that is unobservable in this regime
+        geo = float(np.sum(s.norm_w * log_x))
+        var = float(np.sum(s.norm_w * (log_x - geo) ** 2))
+        return geo + 0.5 * r * var, geo + r * var if escort else None
+    # near-zero-order regime; expm1(-inf) = -1 and expm1(inf) = inf keep the
+    # zero/inf value conventions intact
+    excess = float(np.sum(s.norm_w * np.expm1(scaled)))
+    with np.errstate(divide="ignore"):
+        log_mean = float(np.log1p(max(excess, -1.0)) / r)
+    if not escort:
+        return log_mean, None
+    _, e, total = _shifted_exp(s.log_w + scaled)
+    return log_mean, float(np.dot(e, log_x)) / total
+
+
 def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     """Natural log of the weighted power mean of order ``r``.
 
@@ -93,50 +182,16 @@ def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     * ``r = 0`` with both: raises :class:`DiscontinuityError`, because the
       two one-sided limits disagree and no value is meaningful.
     * ``r < 0`` with a zero value: ``-inf``.  ``r > 0`` with an infinite
-      value: ``+inf``.  Both fall out of the logsumexp arithmetic.
+      value: ``+inf``.  Both fall out of the log-sum-exp arithmetic.
 
-    Dividing ``logsumexp`` by ``r`` amplifies its absolute rounding error by
-    ``1/r``, which would wreck orders like ``1e-9``; whenever every
+    Dividing the log-sum-exp by ``r`` amplifies its absolute rounding error
+    by ``1/r``, which would wreck orders like ``1e-9``; whenever every
     ``r*log(x_i)`` lies in [-1, 1] the evaluation therefore switches to
     ``log1p(sum w_i*expm1(r*log(x_i)))/r``, whose error stays bounded all
     the way into the geometric limit.
     """
-    w, x = _as_weight_value_arrays(weights, values)
-    r = _check_order(r)
-    w, x = _positive_support(w, x)
-    with np.errstate(divide="ignore"):
-        log_x = np.log(x)
-    if math.isinf(r):
-        return float(log_x.max() if r > 0 else log_x.min())
-    if r == 0.0:
-        has_zero = np.isneginf(log_x).any()
-        has_inf = np.isposinf(log_x).any()
-        if has_zero and has_inf:
-            raise DiscontinuityError(
-                "order-0 mean is undefined: values contain both 0 and inf"
-            )
-        norm_w = w / w.sum()
-        # elementwise product, not dot: BLAS is not guaranteed to propagate
-        # the -inf from log(0) correctly
-        return float(np.sum(norm_w * log_x))
-    scaled = r * log_x
-    finite = scaled[np.isfinite(scaled)]
-    if finite.size and np.abs(finite).max() > 1.0:
-        log_norm_w = np.log(w) - math.log(w.sum())
-        return float(logsumexp(log_norm_w + scaled) / r)
-    norm_w = w / w.sum()
-    if np.isfinite(log_x).all() and abs(r) * float(np.abs(log_x).max()) < 1e-300:
-        # r*log(x) underflows into subnormals, where the product itself
-        # cannot be trusted; expand around the geometric mean instead, with
-        # an O(r^2) truncation error that is unobservable in this regime
-        geo = float(np.sum(norm_w * log_x))
-        var = float(np.sum(norm_w * (log_x - geo) ** 2))
-        return geo + 0.5 * r * var
-    # near-zero-order regime; expm1(-inf) = -1 and expm1(inf) = inf keep the
-    # zero/inf value conventions intact
-    excess = float(np.sum(norm_w * np.expm1(scaled)))
-    with np.errstate(divide="ignore"):
-        return float(np.log1p(max(excess, -1.0)) / r)
+    s = _LogSupport(weights, values)
+    return _log_moments(s, _check_order(r))[0]
 
 
 def power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
@@ -148,13 +203,12 @@ def power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     logs).  See :func:`log_power_mean` for the edge-case conventions; at
     finite orders this is just its exponential.
     """
+    s = _LogSupport(weights, values)
     r = _check_order(r)
     if math.isinf(r):
-        w, x = _as_weight_value_arrays(weights, values)
-        _, xs = _positive_support(w, x)
-        return float(xs.max() if r > 0 else xs.min())
+        return float(s.values.max() if r > 0 else s.values.min())
     with np.errstate(over="ignore"):
-        return float(np.exp(log_power_mean(weights, values, r)))
+        return float(np.exp(_log_moments(s, r)[0]))
 
 
 @dataclass(frozen=True)
@@ -272,10 +326,10 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
             f"escort weight diverges at order {r}: "
             "a value is 0 with r < 0, or inf with r > 0"
         )
-    log_total = logsumexp(log_terms)
-    if math.isinf(log_total):
+    _, e, total = _shifted_exp(log_terms)
+    if e is None:
         raise ValueError("all escort weights are zero")
-    out[mask] = np.exp(log_terms - log_total)
+    out[mask] = e / total
     return out
 
 
@@ -284,21 +338,19 @@ def power_mean_derivative(weights: ArrayLike, values: ArrayLike, r: float) -> fl
 
     Uses the escort identity
 
-        M_r'(r) = (1/r) * M_r * ln( M_0(escort_r(w, x), x) / M_r )
+        M_r'(r) = (1/r) * M_r * ( ln M_0(escort_r(w, x), x) - ln M_r )
 
-    with natural logs.  Every value on the support must be positive and
-    finite; take a finite difference if you need the derivative at ``r = 0``.
-    The result is always >= 0 up to roundoff (power means are non-decreasing
-    in the order).
+    with natural logs, where the escort geometric mean comes from the same
+    kernel pass as ``M_r``.  Every value on the support must be positive
+    and finite; take a finite difference if you need the derivative at
+    ``r = 0``.  The result is always >= 0 up to roundoff (power means are
+    non-decreasing in the order).
     """
-    w, x = _as_weight_value_arrays(weights, values)
+    s = _LogSupport(weights, values)
     r = _check_order(r)
     if r == 0.0 or math.isinf(r):
         raise ValueError("the escort derivative formula needs a finite nonzero order")
-    ws, xs = _positive_support(w, x)
-    if (xs == 0).any() or np.isinf(xs).any():
+    if not s.finite:
         raise ValueError("values on the support must be positive and finite")
-    log_m_r = log_power_mean(ws, xs, r)
-    escort = escort_distribution(ws, xs, r)
-    log_m_0 = log_power_mean(escort, xs, 0.0)
+    log_m_r, log_m_0 = _log_moments(s, r, escort=True)
     return float(np.exp(log_m_r) * (log_m_0 - log_m_r) / r)

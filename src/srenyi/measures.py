@@ -148,7 +148,13 @@ def ratio(p: MassMeasure, q: MassMeasure) -> np.ndarray:
     where ``p`` is positive.  Raises :class:`SupportViolationError`, naming
     the offending labels, whenever ``q`` vanishes somewhere ``p`` does not.
     """
-    order, pw, qw = aligned_weights(p, q)
+    return _aligned_ratio(*aligned_weights(p, q))
+
+
+def _aligned_ratio(
+    order: tuple[str, ...], pw: np.ndarray, qw: np.ndarray
+) -> np.ndarray:
+    """:func:`ratio` of weights already aligned by :func:`aligned_weights`."""
     mask = pw > 0
     bad = tuple(l for l, pi, qi in zip(order, pw, qw) if pi > 0 and qi == 0)
     if bad:

@@ -23,14 +23,7 @@ from .errors import (
     SpectrumConsistencyError,
     TargetOutOfRangeError,
 )
-from .info import (
-    DEFAULT_BASE,
-    EntropyValue,
-    entropy_derivative,
-    equivalent_probability,
-    information_potential,
-    shifted_entropy,
-)
+from .info import DEFAULT_BASE, EntropyValue, _SelfSpectrum, equivalent_probability
 from .measures import MassMeasure, normalize
 
 __all__ = [
@@ -138,27 +131,46 @@ class SpectrumTable:
         non-decreasing along the grid (slack 1e-12 for roundoff), each row
         must satisfy ``equiv_prob = base**(-entropy)`` to 1e-10 relative,
         and the derivative column must never be positive.
+
+        A failure raises :class:`SpectrumConsistencyError` carrying the
+        offending row's order, the order of the row before it for the two
+        monotonicity laws, and the residual: the entropy increase, the
+        relative probability decrease, the relative ``equiv_prob`` error,
+        or the positive slope.
         """
         slack = 1e-12
         for a, b in zip(self.rows, self.rows[1:]):
-            if b.entropy.value > a.entropy.value + slack:
+            rise = b.entropy.value - a.entropy.value
+            if rise > slack:
                 raise SpectrumConsistencyError(
-                    f"entropy increases from order {a.order} to {b.order}"
+                    f"entropy increases by {rise!r} from order {a.order} to {b.order}",
+                    order=b.order,
+                    neighbour=a.order,
+                    residual=rise,
                 )
             if b.equiv_prob < a.equiv_prob * (1.0 - 1e-12):
+                drop = 1.0 - b.equiv_prob / a.equiv_prob
                 raise SpectrumConsistencyError(
-                    f"equivalent probability decreases from order {a.order} to {b.order}"
+                    f"equivalent probability decreases by {drop!r} (relative) "
+                    f"from order {a.order} to {b.order}",
+                    order=b.order,
+                    neighbour=a.order,
+                    residual=drop,
                 )
         for row in self.rows:
             expected = self.base ** (-row.entropy.value)
             if not math.isclose(row.equiv_prob, expected, rel_tol=1e-10):
                 raise SpectrumConsistencyError(
                     f"row at order {row.order}: equiv_prob {row.equiv_prob} "
-                    f"vs base**(-entropy) {expected}"
+                    f"vs base**(-entropy) {expected}",
+                    order=row.order,
+                    residual=(row.equiv_prob - expected) / expected,
                 )
             if row.derivative is not None and row.derivative > 0.0:
                 raise SpectrumConsistencyError(
-                    f"positive spectrum slope at order {row.order}"
+                    f"positive spectrum slope {row.derivative!r} at order {row.order}",
+                    order=row.order,
+                    residual=row.derivative,
                 )
 
     def orders(self) -> tuple[float, ...]:
@@ -175,20 +187,15 @@ def sample_spectrum(
     ``m`` on every order of ``grid``, and validate the result.
 
     Potential and slope are None on the +-inf rows, where they are not
-    defined.  The returned table has already passed
-    :meth:`SpectrumTable.validate`.
+    defined.  The measure is validated and its logs taken once; each row
+    then costs one kernel pass and equals what ``shifted_entropy``,
+    ``equivalent_probability``, ``information_potential`` and
+    ``entropy_derivative`` return at its order.  The returned table has
+    already passed :meth:`SpectrumTable.validate`.
     """
-    rows = []
-    for r in grid.orders():
-        ent = shifted_entropy(m, r, base)
-        prob = equivalent_probability(m, r)
-        if math.isinf(r):
-            pot, slope = None, None
-        else:
-            pot = information_potential(m, r)
-            slope = entropy_derivative(m, r, base)
-        rows.append(SpectrumRow(r, ent, prob, pot, slope))
-    table = SpectrumTable(tuple(rows), float(base), m.total)
+    spectrum = _SelfSpectrum(m, base)
+    rows = tuple(SpectrumRow(r, *spectrum.row(r)) for r in grid.orders())
+    table = SpectrumTable(rows, spectrum.base, m.total)
     table.validate()
     return table
 

@@ -330,6 +330,37 @@ class TestInvertCommand:
             main(["invert", ucb_csv])
 
 
+def test_slope_through_zero(capsys, ucb_csv):
+    """The derivative column near r = 0 follows -(k2/2 + r k3/3) / ln 2,
+    the Taylor form from the moments of ln p, with no seam."""
+    code, out, _ = run(capsys, ["spectrum", ucb_csv, "--orders=-1e-6:1e-6:5"])
+    assert code == 0
+    header, data = parse_csv_table(out)
+    orders = [float(row[0]) for row in data]
+    assert_allclose(orders, [-1e-6, -5e-7, 0.0, 5e-7, 1e-6], rtol=1e-15, atol=0)
+    p = np.array(UCB_COUNTS, dtype=float) / sum(UCB_COUNTS)
+    d = np.log(p) - np.sum(p * np.log(p))
+    k2, k3 = np.sum(p * d**2), np.sum(p * d**3)
+    for r, row in zip(orders, data):
+        expected = -(k2 / 2 + r * k3 / 3) / math.log(2.0)
+        assert_allclose(float(row[header.index("derivative")]), expected, rtol=1e-9)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, srenyi.cli; sys.exit(int('scipy' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_not_declared():
+    tomllib = pytest.importorskip("tomllib")
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert not [dep for dep in project["dependencies"] if dep.startswith("scipy")]
+
+
 def test_subprocess_entrypoint(ucb_csv):
     proc = subprocess.run(
         [sys.executable, "-m", "srenyi", "spectrum", ucb_csv, "--orders", "named"],

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import srenyi.info
+import srenyi.measures
 from srenyi import (
     Distribution,
     MassMeasure,
@@ -145,8 +147,32 @@ class TestDivergence:
     def test_support_violation_propagates(self):
         p = Distribution(("a", "b"), np.array([0.5, 0.5]))
         q = MassMeasure(("a", "b"), np.array([1.0, 0.0]))
-        with pytest.raises(SupportViolationError):
+        with pytest.raises(SupportViolationError) as exc:
             shifted_divergence(p, q, 1.0)
+        assert exc.value.labels == ("b",)
+        assert str(exc.value) == (
+            "second measure is zero on labels ['b'] where the first is positive"
+        )
+
+    def test_aligns_labels_once(self, monkeypatch, rng):
+        calls = []
+        original = srenyi.info.aligned_weights
+
+        def counting(p, q):
+            calls.append(1)
+            return original(p, q)
+
+        for module in (srenyi.info, srenyi.measures):
+            monkeypatch.setattr(module, "aligned_weights", counting)
+        p = random_distribution(rng, n=5)
+        perm = rng.permutation(5)
+        q = random_mass(rng, n=5)
+        shuffled = MassMeasure(tuple(q.labels[i] for i in perm), q.weights[perm])
+        for r in ORDER_SET:
+            calls.clear()
+            got = shifted_divergence(p, shuffled, r).value
+            assert len(calls) == 1
+            assert got == shifted_divergence(p, q, r).value
 
     def test_extreme_orders_are_log_ratio_bounds(self):
         p = Distribution(("a", "b"), np.array([0.9, 0.1]))
@@ -313,6 +339,46 @@ class TestSpectrumDerivative:
                 shifted_entropy(dist, r + h).value - shifted_entropy(dist, r - h).value
             ) / (2 * h)
             assert_allclose(entropy_derivative(dist, r), fd, rtol=1e-4, atol=1e-9)
+
+    @staticmethod
+    def _slope_near_zero(m, r, base=2.0):
+        """Two-term Taylor form of the slope at small ``r`` from the moments
+        of ``ln p`` under ``p``: ``-(k2/2 + r k3/3 + r**2 k4/8) / ln b``."""
+        p = m.weights[m.weights > 0] / m.weights.sum()
+        d = np.log(p) - np.sum(p * np.log(p))
+        k2, k3 = np.sum(p * d**2), np.sum(p * d**3)
+        k4 = np.sum(p * d**4) - 3.0 * k2**2
+        return -(k2 / 2 + r * k3 / 3 + r * r * k4 / 8) / math.log(base)
+
+    def test_exact_at_zero(self, ucb_dist, ucb_counts):
+        """H'(0) = -Var_p(ln p) / (2 ln b); -0.024903 on the worked example."""
+        expected = self._slope_near_zero(ucb_dist, 0.0)
+        assert_allclose(expected, -0.024902510864325, rtol=1e-12)
+        for m in (ucb_dist, ucb_counts):
+            assert_allclose(entropy_derivative(m, 0.0), expected, rtol=1e-13)
+            assert_allclose(
+                entropy_derivative(m, 0.0, math.e), expected * math.log(2.0), rtol=1e-13
+            )
+
+    def test_continuous_through_zero(self, ucb_dist, ucb_counts, rng):
+        """Across |r| in [1e-15, 1e-2] the slope follows its Taylor form at
+        0 to 1e-9 plus the first dropped term, ~(|r| * spread)**3."""
+        crit10 = MassMeasure(
+            tuple(f"s{i}" for i in range(5)), np.array([1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+        )
+        measures = [ucb_dist, ucb_counts, crit10]
+        measures += [random_distribution(rng) for _ in range(10)]
+        measures += [random_mass(rng) for _ in range(10)]
+        mags = np.logspace(-15.0, -2.0, 40)
+        for m in measures:
+            logs = np.log(m.weights[m.weights > 0])
+            spread = logs.max() - logs.min()
+            at_zero = abs(self._slope_near_zero(m, 0.0))
+            for r in np.concatenate([-mags, mags]):
+                r = float(r)
+                got = entropy_derivative(m, r)
+                tol = (1e-9 + (abs(r) * spread) ** 3) * at_zero
+                assert abs(got - self._slope_near_zero(m, r)) <= tol, (m, r, got)
 
     def test_at_zero_against_finite_difference(self, ucb_dist):
         h = 1e-4

@@ -7,11 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from srenyi import (
+    EntropyValue,
     MassMeasure,
     OrderGrid,
+    SpectrumConsistencyError,
+    SpectrumRow,
+    SpectrumTable,
     TargetOutOfRangeError,
+    entropy_derivative,
     equivalent_probability,
     from_counts,
+    information_potential,
     invert_probability,
     normalize,
     recover_distribution_probe,
@@ -115,6 +121,83 @@ class TestSampleSpectrum:
             probs = np.array([row.equiv_prob for row in table.rows])
             assert (np.diff(ents) <= 1e-12).all()
             assert (np.diff(probs) >= -1e-12 * probs[:-1]).all()
+
+
+class TestRowsMatchScalarRoute:
+    """Every spectrum row equals the scalar functions at its order: one
+    kernel pass per row may not drift from the per-order route."""
+
+    GRIDS = (
+        OrderGrid.default(),
+        OrderGrid(tuple(np.linspace(-50.0, 50.0, 41)), True, True),
+        OrderGrid.from_values(
+            np.concatenate([-np.logspace(-12, -2, 6), [0.0], np.logspace(-12, -2, 6)])
+        ),
+    )
+
+    @staticmethod
+    def _check(m, base=2.0):
+        for grid in TestRowsMatchScalarRoute.GRIDS:
+            for row in sample_spectrum(m, grid, base).rows:
+                r = row.order
+                assert row.entropy.order == r and row.entropy.base == base
+                assert_allclose(
+                    row.entropy.value, shifted_entropy(m, r, base).value, rtol=1e-12, atol=0
+                )
+                assert_allclose(row.equiv_prob, equivalent_probability(m, r), rtol=1e-12, atol=0)
+                if math.isinf(r):
+                    assert row.potential is None and row.derivative is None
+                    continue
+                assert_allclose(row.potential, information_potential(m, r), rtol=1e-12, atol=0)
+                assert_allclose(row.derivative, entropy_derivative(m, r, base), rtol=1e-9, atol=0)
+
+    def test_random_unnormalized(self, rng):
+        for _ in range(10):
+            self._check(random_mass(rng), base=float(rng.choice([2.0, math.e, 10.0])))
+
+    def test_uniform(self, uniform6):
+        self._check(uniform6)
+        self._check(from_counts(tuple("abcdef"), (7,) * 6))
+
+    def test_twelve_decade_range(self):
+        raw = np.array([1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+        m = MassMeasure(tuple(f"s{i}" for i in range(raw.size)), raw)
+        self._check(m)
+        self._check(normalize(m))
+
+
+class TestValidateFailures:
+    """Each law ``SpectrumTable.validate`` checks names the offending row,
+    its neighbour (for the monotonicity laws) and the residual."""
+
+    @staticmethod
+    def _row(order, entropy, prob, slope=None):
+        return SpectrumRow(order, EntropyValue(entropy, 2.0, order), prob, None, slope)
+
+    def _fails(self, *rows):
+        with pytest.raises(SpectrumConsistencyError) as exc:
+            SpectrumTable(rows, 2.0, 1.0).validate()
+        assert isinstance(exc.value, ArithmeticError)
+        return exc.value
+
+    def test_entropy_increase(self):
+        err = self._fails(self._row(0.0, 1.0, 0.5), self._row(1.0, 1.5, 2.0**-1.5))
+        assert (err.order, err.neighbour) == (1.0, 0.0)
+        assert_allclose(err.residual, 0.5, rtol=1e-15)
+
+    def test_probability_decrease(self):
+        err = self._fails(self._row(-1.0, 1.0, 0.5), self._row(2.0, 1.0, 0.4))
+        assert (err.order, err.neighbour) == (2.0, -1.0)
+        assert_allclose(err.residual, 0.2, rtol=1e-14)
+
+    def test_probability_inconsistent_with_entropy(self):
+        err = self._fails(self._row(3.0, 1.0, 0.6))
+        assert (err.order, err.neighbour) == (3.0, None)
+        assert_allclose(err.residual, 0.2, rtol=1e-14)
+
+    def test_positive_slope(self):
+        err = self._fails(self._row(0.5, 1.0, 0.5, slope=0.25))
+        assert (err.order, err.neighbour, err.residual) == (0.5, None, 0.25)
 
 
 class TestInvertProbability:
