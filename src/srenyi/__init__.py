@@ -51,7 +51,6 @@ from .measures import (
     from_counts,
     normalize,
     ratio,
-    total_mass,
 )
 from .spectrum import (
     OrderGrid,
@@ -101,7 +100,6 @@ __all__ = [
     "from_counts",
     "normalize",
     "ratio",
-    "total_mass",
     "OrderGrid",
     "SpectrumRow",
     "SpectrumTable",

@@ -43,7 +43,7 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import equivalent_probability, shifted_divergence, shifted_entropy
-from .measures import MassMeasure, normalize, total_mass
+from .measures import MassMeasure, normalize
 from .spectrum import (
     OrderGrid,
     invert_probability,
@@ -160,14 +160,9 @@ def parse_orders(text: str | None) -> OrderGrid:
             if len(parts) != 3:
                 raise OptionError(f"range form must be start:stop:count, got {s!r}")
             start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
             if not (math.isfinite(start) and math.isfinite(stop)):
                 raise OptionError("range endpoints must be finite")
-            values = np.linspace(start, stop, count) if count != 1 else [start]
-            if count == 1 and stop != start:
-                raise OptionError("count 1 needs start == stop")
-            if count < 1:
-                raise OptionError("count must be >= 1")
+            values = OrderGrid.linear(start, stop, int(parts[2])).orders()
             return OrderGrid.from_values(_snap_zeros(values))
         values = [_parse_order_token(tok) for tok in s.split(",")]
         return OrderGrid.from_values(_snap_zeros(values))
@@ -215,33 +210,54 @@ def resolve_base(flag_value: str | None) -> float:
 # ---------------------------------------------------------------- output
 
 
-def _fmt(value: float | None) -> str:
-    """Shortest round-trip decimal; infinities as bare inf/-inf; None empty."""
-    if value is None:
-        return ""
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
-
-
-def _jval(value: float | None):
-    if value is None:
-        return None
+def _jval(value):
+    """A JSON value: None, bools, ints and strings as they are, floats as
+    numbers, and the infinities, which JSON lacks, as "inf"/"-inf"."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
     value = float(value)
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
 
 
-def _csv_table(meta: dict, header: list[str], rows: list[list[str]]) -> str:
+def _fmt(value) -> str:
+    """A CSV cell: the JSON value of ``value`` as text, with null empty,
+    booleans true/false and floats as the shortest round-trip decimal."""
+    value = _jval(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_table(fmt: str, kind: str, meta: dict, header: list[str], rows) -> None:
+    """Write one result table to stdout; the only place a table is rendered.
+
+    CSV is one ``# key=value`` line per meta entry, the header, then the
+    rows, every cell through :func:`_fmt`.  JSON is one object: ``kind``,
+    the meta entries, and ``rows``, one object per row keyed by the header,
+    every value through :func:`_jval`.  Both come from the same raw cells,
+    so the two formats cannot disagree.
+    """
+    if fmt == "json":
+        payload = {
+            "kind": kind,
+            **{key: _jval(value) for key, value in meta.items()},
+            "rows": [
+                {key: _jval(value) for key, value in zip(header, row)} for row in rows
+            ],
+        }
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        return
     buf = io.StringIO()
     for key, value in meta.items():
-        buf.write(f"# {key}={value}\n")
+        buf.write(f"# {key}={_fmt(value)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer.writerows([_fmt(value) for value in row] for row in rows)
+    sys.stdout.write(buf.getvalue())
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -289,44 +305,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.normalize:
         measure = normalize(measure)
     table = sample_spectrum(measure, grid, base)
-    header = ["order", "entropy", "equiv_prob", "potential", "derivative"]
     meta = {
         "n": len(measure),
-        "total_mass": _fmt(total_mass(measure)),
-        "base": _fmt(base),
-        "normalized": "true" if args.normalize else "false",
+        "total_mass": measure.total,
+        "base": base,
+        "normalized": bool(args.normalize),
     }
-    if args.format == "json":
-        payload = {
-            "kind": "spectrum",
-            "n": len(measure),
-            "total_mass": _jval(total_mass(measure)),
-            "base": _jval(base),
-            "normalized": bool(args.normalize),
-            "rows": [
-                {
-                    "order": _jval(row.order),
-                    "entropy": _jval(row.entropy.value),
-                    "equiv_prob": _jval(row.equiv_prob),
-                    "potential": _jval(row.potential),
-                    "derivative": _jval(row.derivative),
-                }
-                for row in table.rows
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        rows = [
-            [
-                _fmt(row.order),
-                _fmt(row.entropy.value),
-                _fmt(row.equiv_prob),
-                _fmt(row.potential),
-                _fmt(row.derivative),
-            ]
-            for row in table.rows
-        ]
-        sys.stdout.write(_csv_table(meta, header, rows))
+    header = ["order", "entropy", "equiv_prob", "potential", "derivative"]
+    rows = [
+        (row.order, row.entropy.value, row.equiv_prob, row.potential, row.derivative)
+        for row in table.rows
+    ]
+    _write_table(args.format, "spectrum", meta, header, rows)
     if args.plot_data:
         entropy_points = [(row.order, row.entropy.value) for row in table.rows]
         prob_points = [(row.order, row.equiv_prob) for row in table.rows]
@@ -346,44 +336,18 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     p = read_measure(args.p_input)
     q = read_measure(args.q_input)
     uniform, n_support = _uniform_reference(q)
-    ln_b = math.log(base)
-    check_const = (
-        math.log(n_support) / ln_b - math.log(total_mass(q)) / ln_b
-        if uniform
-        else None
-    )
-    out_rows = []
-    for r in grid.orders():
-        div = shifted_divergence(p, q, r, base).value
-        if uniform:
-            check = check_const - shifted_entropy(p, r, base).value
-            out_rows.append((r, div, check))
-        else:
-            out_rows.append((r, div, None))
-    if args.format == "json":
-        payload = {
-            "kind": "divergence",
-            "base": _jval(base),
-            "uniform_reference": uniform,
-            "rows": [
-                {
-                    "order": _jval(r),
-                    "divergence": _jval(div),
-                    **({"uniform_check": _jval(check)} if uniform else {}),
-                }
-                for r, div, check in out_rows
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        meta = {"base": _fmt(base), "uniform_reference": "true" if uniform else "false"}
-        if uniform:
-            header = ["order", "divergence", "uniform_check"]
-            rows = [[_fmt(r), _fmt(d), _fmt(c)] for r, d, c in out_rows]
-        else:
-            header = ["order", "divergence"]
-            rows = [[_fmt(r), _fmt(d)] for r, d, _ in out_rows]
-        sys.stdout.write(_csv_table(meta, header, rows))
+    header = ["order", "divergence"]
+    rows = [(r, shifted_divergence(p, q, r, base).value) for r in grid.orders()]
+    if uniform:
+        ln_b = math.log(base)
+        check_const = math.log(n_support) / ln_b - math.log(q.total) / ln_b
+        header.append("uniform_check")
+        rows = [
+            (r, div, check_const - shifted_entropy(p, r, base).value)
+            for r, div in rows
+        ]
+    meta = {"base": base, "uniform_reference": uniform}
+    _write_table(args.format, "divergence", meta, header, rows)
     return EXIT_OK
 
 
@@ -393,39 +357,14 @@ def cmd_invert(args: argparse.Namespace) -> int:
     if not tol > 0:
         raise OptionError(f"--tol must be positive, got {tol}")
     if args.all:
-        probe = recover_distribution_probe(measure, tol=tol)
-        if args.format == "json":
-            payload = {
-                "kind": "invert",
-                "rows": [
-                    {"labels": labels, "order": _jval(r), "probability": _jval(p)}
-                    for labels, r, p in probe
-                ],
-            }
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            rows = [[labels, _fmt(r), _fmt(p)] for labels, r, p in probe]
-            sys.stdout.write(
-                _csv_table({}, ["labels", "order", "probability"], rows)
-            )
-        return EXIT_OK
-    order = invert_probability(measure, args.target, tol=tol)
-    achieved = equivalent_probability(normalize(measure), order)
-    if args.format == "json":
-        payload = {
-            "kind": "invert",
-            "rows": [
-                {
-                    "target": _jval(args.target),
-                    "order": _jval(order),
-                    "probability": _jval(achieved),
-                }
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        header = ["labels", "order", "probability"]
+        rows = recover_distribution_probe(measure, tol=tol)
     else:
-        rows = [[_fmt(args.target), _fmt(order), _fmt(achieved)]]
-        sys.stdout.write(_csv_table({}, ["target", "order", "probability"], rows))
+        order = invert_probability(measure, args.target, tol=tol)
+        achieved = equivalent_probability(normalize(measure), order)
+        header = ["target", "order", "probability"]
+        rows = [(args.target, order, achieved)]
+    _write_table(args.format, "invert", {}, header, rows)
     return EXIT_OK
 
 

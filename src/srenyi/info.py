@@ -31,9 +31,8 @@ from .means import (
     _logsumexp,
     _LogSupport,
     log_power_mean,
-    power_mean,
 )
-from .measures import MassMeasure, _aligned_ratio, aligned_weights, normalize, total_mass
+from .measures import MassMeasure, _aligned_ratio, aligned_weights, normalize
 
 __all__ = [
     "EntropyValue",
@@ -141,8 +140,7 @@ def equivalent_probability(m: MassMeasure, r: float) -> float:
     smallest and largest normalized weight; the two bounds are attained at
     ``r = -inf`` and ``r = +inf``.
     """
-    r = _check_order(r)
-    return power_mean(m.weights, m.weights, r)
+    return _LogSupport(m.weights, m.weights).mean(_check_order(r))
 
 
 def information_potential(m: MassMeasure, r: float) -> float:
@@ -231,8 +229,7 @@ class _SelfSpectrum:
         )
         entropy = EntropyValue(-log_mean / self.ln_b, self.base, r)
         if math.isinf(r):
-            values = self.support.values
-            return entropy, float(values.max() if r > 0 else values.min()), None, None
+            return entropy, self.support.mean(r), None, None
         with np.errstate(over="ignore"):
             prob = float(np.exp(log_mean))
             potential = 1.0 if r == 0.0 else float(np.exp(r * log_mean))
@@ -290,7 +287,7 @@ def entropy_via_escort_rewrite(
     kl, cross, ent = _escort_decomposition(m, r)
     route1 = kl / r + cross
     route2 = -ent / r + (r + 1.0) / r * cross
-    shift = math.log(total_mass(m))
+    shift = math.log(m.total)
     ln_b = math.log(base)
     return (
         EntropyValue((route1 - shift) / ln_b, base, r),
@@ -351,7 +348,6 @@ def mass_displacement_check(
     base = _check_base(base)
     r = _check_order(r)
     lhs = shifted_entropy(m, r, base)
-    displaced = shifted_entropy(normalize(m), r, base).value - math.log(
-        total_mass(m)
-    ) / math.log(base)
+    shift = math.log(m.total) / math.log(base)
+    displaced = shifted_entropy(normalize(m), r, base).value - shift
     return lhs, EntropyValue(displaced, base, r)

@@ -124,6 +124,14 @@ class _LogSupport:
         self.finite = bool(finite.all())
         self.scale = float(np.abs(self.log_x[finite]).max()) if finite.any() else 0.0
 
+    def mean(self, r: float) -> float:
+        """``M_r``: the exact max / min value at ``r = +-inf`` (not
+        round-tripped through logs), ``exp(ln M_r)`` at every other order."""
+        if math.isinf(r):
+            return float(self.values.max() if r > 0 else self.values.min())
+        with np.errstate(over="ignore"):
+            return float(np.exp(_log_moments(self, r)[0]))
+
 
 def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float, float | None]:
     """``ln M_r`` of a log-support and, when ``escort`` is set, the escort
@@ -203,12 +211,7 @@ def power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     logs).  See :func:`log_power_mean` for the edge-case conventions; at
     finite orders this is just its exponential.
     """
-    s = _LogSupport(weights, values)
-    r = _check_order(r)
-    if math.isinf(r):
-        return float(s.values.max() if r > 0 else s.values.min())
-    with np.errstate(over="ignore"):
-        return float(np.exp(_log_moments(s, r)[0]))
+    return _LogSupport(weights, values).mean(_check_order(r))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ __all__ = [
     "Distribution",
     "from_counts",
     "normalize",
-    "total_mass",
     "ratio",
     "aligned_weights",
 ]
@@ -107,10 +106,6 @@ def from_counts(labels: Sequence[str], counts: Sequence[int]) -> MassMeasure:
     if not (c > 0).any():
         raise ValueError("at least one count must be positive")
     return MassMeasure(tuple(labels), c)
-
-
-def total_mass(m: MassMeasure) -> float:
-    return m.total
 
 
 def normalize(m: MassMeasure) -> Distribution:

@@ -23,7 +23,8 @@ from .errors import (
     SpectrumConsistencyError,
     TargetOutOfRangeError,
 )
-from .info import DEFAULT_BASE, EntropyValue, _SelfSpectrum, equivalent_probability
+from .info import DEFAULT_BASE, EntropyValue, _SelfSpectrum
+from .means import _LogSupport
 from .measures import MassMeasure, normalize
 
 __all__ = [
@@ -218,6 +219,15 @@ def invert_probability(
     returning the corresponding infinity; bisection inside the bracket
     raises :class:`ConvergenceError` after 200 iterations.
     """
+    p = normalize(m).weights
+    return _invert(_LogSupport(p, p), target_p, search_bound, tol)
+
+
+def _invert(
+    support: _LogSupport, target_p: float, search_bound: float, tol: float
+) -> float:
+    """:func:`invert_probability` on the log-support of a distribution
+    against itself, whose ``mean(r)`` is the equivalent probability."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not search_bound > 0:
@@ -225,17 +235,12 @@ def invert_probability(
     target = float(target_p)
     if math.isnan(target):
         raise ValueError("target probability must not be NaN")
-    dist = normalize(m)
-    support = dist.weights[dist.weights > 0]
-    p_min, p_max = float(support.min()), float(support.max())
+    p_min, p_max = float(support.values.min()), float(support.values.max())
     if target < p_min - tol or target > p_max + tol:
         raise TargetOutOfRangeError(
             f"target {target} outside the attainable range [{p_min}, {p_max}]"
         )
-
-    def pi(order: float) -> float:
-        return equivalent_probability(dist, order)
-
+    pi = support.mean
     if abs(pi(0.0) - target) <= tol:
         return 0.0
     if target >= p_max - tol:
@@ -279,13 +284,13 @@ def recover_distribution_probe(
     ``tol``.
     """
     dist = normalize(m)
+    support = _LogSupport(dist.weights, dist.weights)
     by_value: dict[float, list[str]] = {}
     for label, weight in dist.items():
         if weight > 0:
             by_value.setdefault(weight, []).append(label)
     rows = []
     for value in sorted(by_value):
-        order = invert_probability(dist, value, tol=tol)
-        achieved = equivalent_probability(dist, order)
-        rows.append((",".join(sorted(by_value[value])), order, achieved))
+        order = _invert(support, value, 1.0, tol)
+        rows.append((",".join(sorted(by_value[value])), order, support.mean(order)))
     return rows

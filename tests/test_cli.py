@@ -9,13 +9,16 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import srenyi
 from srenyi.cli import main
 
 from support import UCB_COUNTS, UCB_LABELS
@@ -330,6 +333,68 @@ class TestInvertCommand:
             main(["invert", ucb_csv])
 
 
+def csv_cell(value):
+    """A decoded JSON value as the CSV writer renders the same cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+PARITY_CASES = {
+    "spectrum": (
+        ["spectrum", "{ucb}", "--orders", "named"],
+        ["# n=6", "# total_mass=4526.0", "# base=2.0", "# normalized=false"],
+    ),
+    "spectrum-normalized": (
+        ["spectrum", "{ucb}", "--orders", "named", "--normalize", "--base", "e"],
+        ["# n=6", "# total_mass=1.0", f"# base={math.e!r}", "# normalized=true"],
+    ),
+    "divergence-uniform": (
+        ["divergence", "{ucb}", "{uniform}", "--orders", "named"],
+        ["# base=2.0", "# uniform_reference=true"],
+    ),
+    "divergence-shuffled": (
+        ["divergence", "{ucb}", "{shuffled}", "--orders", "named"],
+        ["# base=2.0", "# uniform_reference=false"],
+    ),
+    "invert-all": (["invert", "{ucb}", "--all"], []),
+    "invert-target": (["invert", "{ucb}", "--target", "0.2"], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_csv_and_json_output_parity(capsys, case, ucb_csv, uniform_csv, tmp_path):
+    shuffled = tmp_path / "shuffled.csv"
+    weights = zip(reversed(UCB_LABELS), (5, 1, 2, 9, 3, 4))
+    shuffled.write_text("".join(f"{l},{w}\n" for l, w in weights))
+    template, meta_lines = PARITY_CASES[case]
+    argv = [
+        a.format(ucb=ucb_csv, uniform=uniform_csv, shuffled=shuffled)
+        for a in template
+    ]
+    code, out_csv, _ = run(capsys, argv)
+    assert code == 0
+    code, out_json, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+
+    lines = out_csv.splitlines()
+    assert lines[: len(meta_lines)] == meta_lines
+    assert not lines[len(meta_lines)].startswith("#")
+    header, data = parse_csv_table(out_csv)
+    payload = json.loads(out_json)
+    assert payload.pop("kind") == argv[0]
+    rows = payload.pop("rows")
+    assert [f"# {k}={csv_cell(v)}" for k, v in payload.items()] == meta_lines
+    assert len(rows) == len(data) > 0
+    for obj, cells in zip(rows, data):
+        assert list(obj) == header
+        assert [csv_cell(v) for v in obj.values()] == cells
+
+
 def test_slope_through_zero(capsys, ucb_csv):
     """The derivative column near r = 0 follows -(k2/2 + r k3/3) / ln 2,
     the Taylor form from the moments of ln p, with no seam."""
@@ -346,9 +411,20 @@ def test_slope_through_zero(capsys, ucb_csv):
         assert_allclose(float(row[header.index("derivative")]), expected, rtol=1e-9)
 
 
+def child_env():
+    """Environment for a child interpreter that imports the srenyi under test."""
+    package_dir = str(Path(srenyi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    paths = [package_dir, env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, srenyi.cli; sys.exit(int('scipy' in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
 
 
@@ -367,6 +443,7 @@ def test_subprocess_entrypoint(ucb_csv):
         capture_output=True,
         text=True,
         timeout=60,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# n=6")

@@ -31,7 +31,6 @@ from srenyi import (
     skew_symmetric_divergence,
     standard_divergence,
     standard_entropy,
-    total_mass,
 )
 
 from support import (

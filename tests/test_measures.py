@@ -16,7 +16,6 @@ from srenyi import (
     from_counts,
     normalize,
     ratio,
-    total_mass,
 )
 
 from support import UCB_COUNTS, UCB_LABELS, UCB_TOTAL
@@ -24,13 +23,13 @@ from support import UCB_COUNTS, UCB_LABELS, UCB_TOTAL
 
 class TestConstruction:
     def test_from_counts_total(self, ucb_counts):
-        assert total_mass(ucb_counts) == UCB_TOTAL
+        assert ucb_counts.total == UCB_TOTAL
         assert len(ucb_counts) == 6
         assert ucb_counts.labels == UCB_LABELS
 
     def test_large_integer_counts_are_exact(self):
         m = from_counts(("a", "b"), (2**52, 1))
-        assert total_mass(m) == 2**52 + 1
+        assert m.total == 2**52 + 1
 
     def test_single_outcome(self):
         m = from_counts(("only",), (7,))

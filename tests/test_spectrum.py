@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import srenyi.info
+import srenyi.means
+import srenyi.spectrum
 from srenyi import (
     EntropyValue,
     MassMeasure,
@@ -280,3 +283,25 @@ class TestRecoverDistribution:
         m = MassMeasure(("a", "b", "z"), np.array([1.0, 3.0, 0.0]))
         rows = recover_distribution_probe(m)
         assert all("z" not in row[0] for row in rows)
+
+    def test_one_support_and_one_normalize_per_recovery(self, ucb_counts, monkeypatch):
+        built = []
+
+        class CountingSupport(srenyi.means._LogSupport):
+            def __init__(self, weights, values):
+                built.append(len(weights))
+                super().__init__(weights, values)
+
+        normalized = []
+
+        def counting_normalize(m):
+            normalized.append(len(m))
+            return normalize(m)
+
+        for module in (srenyi.means, srenyi.info, srenyi.spectrum):
+            monkeypatch.setattr(module, "_LogSupport", CountingSupport, raising=False)
+        monkeypatch.setattr(srenyi.spectrum, "normalize", counting_normalize)
+        rows = recover_distribution_probe(ucb_counts)
+        assert len(rows) == 6
+        assert built == [6]
+        assert normalized == [6]
