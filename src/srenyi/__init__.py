@@ -21,28 +21,19 @@ from .info import (
     DEFAULT_BASE,
     EntropyValue,
     entropy_derivative,
-    entropy_via_escort_rewrite,
     equivalent_probability,
     information_potential,
-    mass_displacement_check,
-    self_information_check,
     shifted_cross_entropy,
     shifted_divergence,
     shifted_entropy,
-    skew_symmetric_divergence,
     standard_divergence,
     standard_entropy,
 )
 from .means import (
-    KNFunctionPair,
     escort_distribution,
-    identity_pair,
-    kn_mean,
-    log_exp_pair,
     log_power_mean,
     power_mean,
     power_mean_derivative,
-    power_pair,
 )
 from .measures import (
     Distribution,
@@ -61,7 +52,7 @@ from .spectrum import (
     sample_spectrum,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ConvergenceError",
@@ -74,26 +65,17 @@ __all__ = [
     "DEFAULT_BASE",
     "EntropyValue",
     "entropy_derivative",
-    "entropy_via_escort_rewrite",
     "equivalent_probability",
     "information_potential",
-    "mass_displacement_check",
-    "self_information_check",
     "shifted_cross_entropy",
     "shifted_divergence",
     "shifted_entropy",
-    "skew_symmetric_divergence",
     "standard_divergence",
     "standard_entropy",
-    "KNFunctionPair",
     "escort_distribution",
-    "identity_pair",
-    "kn_mean",
-    "log_exp_pair",
     "log_power_mean",
     "power_mean",
     "power_mean_derivative",
-    "power_pair",
     "Distribution",
     "MassMeasure",
     "aligned_weights",

@@ -42,7 +42,8 @@ from .errors import (
     SupportViolationError,
     TargetOutOfRangeError,
 )
-from .info import equivalent_probability, shifted_divergence, shifted_entropy
+from .info import _divergence_support, equivalent_probability
+from .means import _log_moments, _LogSupport
 from .measures import MassMeasure, normalize
 from .spectrum import (
     OrderGrid,
@@ -336,14 +337,18 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     p = read_measure(args.p_input)
     q = read_measure(args.q_input)
     uniform, n_support = _uniform_reference(q)
+    ln_b = math.log(base)
+    # labels are aligned once; each order is one kernel call on the support
+    support = _divergence_support(p, q)
     header = ["order", "divergence"]
-    rows = [(r, shifted_divergence(p, q, r, base).value) for r in grid.orders()]
+    rows = [(r, _log_moments(support, r)[0] / ln_b) for r in grid.orders()]
     if uniform:
-        ln_b = math.log(base)
         check_const = math.log(n_support) / ln_b - math.log(q.total) / ln_b
         header.append("uniform_check")
+        # check_const - H_r(p), with H_r(p) = -ln M_r(p_hat, p) / ln b
+        own = _LogSupport(p.weights, p.weights)
         rows = [
-            (r, div, check_const - shifted_entropy(p, r, base).value)
+            (r, div, check_const + _log_moments(own, r)[0] / ln_b)
             for r, div in rows
         ]
     meta = {"base": base, "uniform_reference": uniform}

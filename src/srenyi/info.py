@@ -24,15 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportViolationError
 from .means import (
     _check_order,
     _log_moments,
-    _logsumexp,
     _LogSupport,
     log_power_mean,
 )
-from .measures import MassMeasure, _aligned_ratio, aligned_weights, normalize
+from .measures import MassMeasure, _aligned_ratio, aligned_weights
 
 __all__ = [
     "EntropyValue",
@@ -45,10 +43,6 @@ __all__ = [
     "equivalent_probability",
     "information_potential",
     "entropy_derivative",
-    "entropy_via_escort_rewrite",
-    "skew_symmetric_divergence",
-    "self_information_check",
-    "mass_displacement_check",
 ]
 
 DEFAULT_BASE = 2.0
@@ -96,10 +90,16 @@ def shifted_divergence(
     """
     base = _check_base(base)
     r = _check_order(r)
-    labels, pw, qw = aligned_weights(p, q)
-    rat = _aligned_ratio(labels, pw, qw)
-    nat = log_power_mean(pw[pw > 0], rat, r)
+    nat = _log_moments(_divergence_support(p, q), r)[0]
     return EntropyValue(nat / math.log(base), base, r)
+
+
+def _divergence_support(p: MassMeasure, q: MassMeasure) -> _LogSupport:
+    """The log-support of ``(p weights, p/q)`` on the support of ``p``, with
+    the labels aligned once, so that every order of ``D_r(p || q)`` is one
+    kernel call on it."""
+    labels, pw, qw = aligned_weights(p, q)
+    return _LogSupport(pw[pw > 0], _aligned_ratio(labels, pw, qw))
 
 
 def shifted_cross_entropy(
@@ -155,32 +155,6 @@ def information_potential(m: MassMeasure, r: float) -> float:
         return 1.0
     with np.errstate(over="ignore"):
         return float(np.exp(r * log_power_mean(m.weights, m.weights, r)))
-
-
-def _support_log_probs(m: MassMeasure) -> np.ndarray:
-    p = normalize(m).weights
-    return np.log(p[p > 0])
-
-
-def _escort_decomposition(m: MassMeasure, r: float) -> tuple[float, float, float]:
-    """Order-0 divergence / cross-entropy / entropy (all in nats) of the
-    order-``r`` self-escort of ``normalize(m)`` against it.
-
-    Returns ``(kl, cross, ent)`` where, with ``rho`` the escort,
-    ``kl = sum rho*ln(rho/p)``, ``cross = -sum rho*ln p``,
-    ``ent = -sum rho*ln rho``.  Computed in the log domain so that extreme
-    orders (|r| ~ 50) do not underflow.
-    """
-    ln_p = _support_log_probs(m)
-    log_t = (1.0 + r) * ln_p
-    log_rho = log_t - _logsumexp(log_t)
-    rho = np.exp(log_rho)
-    live = rho > 0
-    with np.errstate(invalid="ignore"):
-        kl = float(np.where(live, rho * (log_rho - ln_p), 0.0).sum())
-        ent = -float(np.where(live, rho * log_rho, 0.0).sum())
-    cross = -float(np.sum(rho * ln_p))
-    return kl, cross, ent
 
 
 # Up to this |r| * (max ln p - min ln p) the slope comes from its Taylor
@@ -265,89 +239,3 @@ def entropy_derivative(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> 
     if math.isinf(r):
         raise ValueError("the spectrum derivative needs a finite order")
     return _SelfSpectrum(m, base).row(r)[3]
-
-
-def entropy_via_escort_rewrite(
-    m: MassMeasure, r: float, base: float = DEFAULT_BASE
-) -> tuple[EntropyValue, EntropyValue]:
-    """The entropy at finite nonzero ``r`` recomputed two independent ways
-    from Shannon-type quantities of the order-``r`` self-escort ``rho``:
-
-        route 1:  (1/r) * D_0(rho || p)  +  X_0(rho, p)
-        route 2:  -(1/r) * H_0(rho)  +  ((r+1)/r) * X_0(rho, p)
-
-    both displaced by ``-log_b(total mass)`` so they equal
-    ``shifted_entropy(m, r, base)`` for unnormalized measures too.
-    Returns the two routes as EntropyValues.
-    """
-    base = _check_base(base)
-    r = _check_order(r)
-    if r == 0.0 or math.isinf(r):
-        raise ValueError("the escort rewrites need a finite nonzero order")
-    kl, cross, ent = _escort_decomposition(m, r)
-    route1 = kl / r + cross
-    route2 = -ent / r + (r + 1.0) / r * cross
-    shift = math.log(m.total)
-    ln_b = math.log(base)
-    return (
-        EntropyValue((route1 - shift) / ln_b, base, r),
-        EntropyValue((route2 - shift) / ln_b, base, r),
-    )
-
-
-def skew_symmetric_divergence(
-    p: MassMeasure, q: MassMeasure, r: float, base: float = DEFAULT_BASE
-) -> EntropyValue:
-    """The mirrored divergence ``-((r+1)/r) * D_{-(r+1)}(q || p)``.
-
-    For probability distributions with equal support this equals
-    ``shifted_divergence(p, q, r, base)`` at every finite ``r != 0``; at
-    ``r = 0`` the prefactor blows up and ValueError is raised.
-    """
-    base = _check_base(base)
-    r = _check_order(r)
-    if r == 0.0:
-        raise ValueError("the skew identity is undefined at order 0")
-    if math.isinf(r):
-        raise ValueError("the skew identity needs a finite order")
-    if set(p.support_labels) != set(q.support_labels):
-        raise SupportViolationError(
-            "the skew identity needs equal supports",
-            labels=tuple(sorted(set(p.support_labels) ^ set(q.support_labels))),
-        )
-    mirrored = shifted_divergence(q, p, -(r + 1.0), base)
-    return EntropyValue(-(r + 1.0) / r * mirrored.value, base, r)
-
-
-def self_information_check(
-    p: MassMeasure, r: float, base: float = DEFAULT_BASE
-) -> tuple[EntropyValue, EntropyValue]:
-    """Entropy as a divergence from the squared measure.
-
-    Returns ``(H_r(p), D_{-r}(p || p*p))`` where ``(p*p)_i = w_i**2``; the
-    two coincide for every extended ``r``, including 0 and +-inf, and for
-    unnormalized measures.
-    """
-    base = _check_base(base)
-    r = _check_order(r)
-    squared = MassMeasure(p.labels, p.weights * p.weights)
-    lhs = shifted_entropy(p, r, base)
-    rhs = shifted_divergence(p, squared, -r, base)
-    return lhs, EntropyValue(rhs.value, base, r)
-
-
-def mass_displacement_check(
-    m: MassMeasure, r: float, base: float = DEFAULT_BASE
-) -> tuple[EntropyValue, EntropyValue]:
-    """Entropy of a mass measure vs entropy of its normalization displaced
-    by the log total mass.
-
-    Returns ``(H_r(m), H_r(normalize(m)) - log_b(total))``; the displacement
-    is the same at every order, which is the point of the construction.
-    """
-    base = _check_base(base)
-    r = _check_order(r)
-    lhs = shifted_entropy(m, r, base)
-    shift = math.log(m.total) / math.log(base)
-    displaced = shifted_entropy(normalize(m), r, base).value - shift
-    return lhs, EntropyValue(displaced, base, r)

@@ -26,23 +26,17 @@ so at their own boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DiscontinuityError, DivergentEscortError
 
 __all__ = [
-    "KNFunctionPair",
     "power_mean",
     "log_power_mean",
-    "kn_mean",
     "escort_distribution",
     "power_mean_derivative",
-    "identity_pair",
-    "log_exp_pair",
-    "power_pair",
 ]
 
 ArrayLike = Sequence[float] | np.ndarray
@@ -94,11 +88,6 @@ def _shifted_exp(a: np.ndarray) -> tuple[float, np.ndarray | None, float]:
         return top, None, 1.0
     e = np.exp(a - top)
     return top, e, float(e.sum())
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    top, _, total = _shifted_exp(a)
-    return top + math.log(total)
 
 
 class _LogSupport:
@@ -212,89 +201,6 @@ def power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     finite orders this is just its exponential.
     """
     return _LogSupport(weights, values).mean(_check_order(r))
-
-
-@dataclass(frozen=True)
-class KNFunctionPair:
-    """A strictly monotone continuous function with its inverse.
-
-    Defines the quasi-arithmetic (Kolmogorov-Nagumo) mean
-    ``forward_inv(sum_i (w_i / W) * forward(x_i))``.  ``domain`` is the
-    closed interval of admissible values; the caller promises that
-    ``inverse`` really inverts ``forward`` there, which
-    :meth:`check_inverse` can spot-check.
-    """
-
-    forward: Callable[[float], float]
-    inverse: Callable[[float], float]
-    domain: tuple[float, float] = (0.0, math.inf)
-
-    def contains(self, value: float) -> bool:
-        lo, hi = self.domain
-        return lo <= value <= hi
-
-    def check_inverse(self, probe_values: ArrayLike, rtol: float = 1e-9) -> None:
-        """Raise ValueError if inverse(forward(v)) strays from v on the probes."""
-        for v in probe_values:
-            v = float(v)
-            if not self.contains(v):
-                raise ValueError(f"probe value {v} outside domain {self.domain}")
-            back = self.inverse(self.forward(v))
-            if not math.isclose(back, v, rel_tol=rtol, abs_tol=rtol):
-                raise ValueError(
-                    f"inverse(forward({v})) = {back}, not an inverse within {rtol}"
-                )
-
-
-def identity_pair() -> KNFunctionPair:
-    return KNFunctionPair(lambda v: v, lambda v: v, (0.0, math.inf))
-
-
-def log_exp_pair() -> KNFunctionPair:
-    """log/exp pair; yields the geometric mean (0 is allowed, log(0) = -inf)."""
-
-    def _log(v: float) -> float:
-        return math.log(v) if v > 0 else -math.inf
-
-    return KNFunctionPair(_log, math.exp, (0.0, math.inf))
-
-
-def power_pair(r: float) -> KNFunctionPair:
-    """``v -> v**r`` with its inverse, for finite nonzero ``r``."""
-    r = float(r)
-    if r == 0.0 or math.isinf(r) or math.isnan(r):
-        raise ValueError("power_pair needs a finite nonzero exponent")
-
-    def _fwd(v: float) -> float:
-        with np.errstate(divide="ignore"):
-            return float(np.power(v, r))
-
-    def _inv(v: float) -> float:
-        with np.errstate(divide="ignore"):
-            return float(np.power(v, 1.0 / r))
-
-    return KNFunctionPair(_fwd, _inv, (0.0, math.inf))
-
-
-def kn_mean(weights: ArrayLike, values: ArrayLike, pair: KNFunctionPair) -> float:
-    """Quasi-arithmetic mean of ``values`` under the function ``pair``.
-
-    With ``pair = power_pair(r)`` this agrees with ``power_mean(w, x, r)``;
-    it exists as an independent, naive-summation route and for means outside
-    the power family.  Not log-stabilized on purpose.
-    """
-    w, x = _as_weight_value_arrays(weights, values)
-    w, x = _positive_support(w, x)
-    outside = [float(v) for v in x if not pair.contains(float(v))]
-    if outside:
-        raise ValueError(
-            f"values {outside} outside the function domain {pair.domain}"
-        )
-    fx = np.array([pair.forward(float(v)) for v in x], dtype=float)
-    if np.isnan(fx).any():
-        raise ValueError("forward function produced NaN on the support")
-    mean_fx = float(np.sum((w / w.sum()) * fx))
-    return float(pair.inverse(mean_fx))
 
 
 def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.ndarray:

@@ -3,16 +3,31 @@
 The direct-summation oracles here intentionally do the naive thing in the
 linear domain; they are the independent route the library's log-domain
 implementations are checked against (and they are expected to break on the
-stress cases, which is part of what gets tested).
+stress cases, which is part of what gets tested).  The Kolmogorov-Nagumo
+means and the identity routes of the paper (escort rewrites, skew symmetry,
+self-information, mass displacement) live here too: they use only the
+public ``srenyi`` API and numpy, so they share no private code with what
+they check.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from srenyi import Distribution, MassMeasure, normalize
+from srenyi import (
+    DEFAULT_BASE,
+    Distribution,
+    EntropyValue,
+    MassMeasure,
+    SupportViolationError,
+    normalize,
+    shifted_divergence,
+    shifted_entropy,
+)
 
 UCB_LABELS = ("A", "B", "C", "D", "E", "F")
 UCB_COUNTS = (933, 585, 918, 792, 584, 714)
@@ -79,3 +94,195 @@ def kl_divergence(p_dist, q_dist, base=2.0) -> float:
     q = q_dist.weights
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])) / math.log(base))
+
+
+# ------------------------------------------------ Kolmogorov-Nagumo means
+
+
+@dataclass(frozen=True)
+class KNFunctionPair:
+    """A strictly monotone continuous function with its inverse.
+
+    Defines the quasi-arithmetic (Kolmogorov-Nagumo) mean
+    ``forward_inv(sum_i (w_i / W) * forward(x_i))``.  ``domain`` is the
+    closed interval of admissible values; the caller promises that
+    ``inverse`` really inverts ``forward`` there, which
+    :meth:`check_inverse` can spot-check.
+    """
+
+    forward: Callable[[float], float]
+    inverse: Callable[[float], float]
+    domain: tuple[float, float] = (0.0, math.inf)
+
+    def contains(self, value: float) -> bool:
+        lo, hi = self.domain
+        return lo <= value <= hi
+
+    def check_inverse(self, probe_values, rtol: float = 1e-9) -> None:
+        """Raise ValueError if inverse(forward(v)) strays from v on the probes."""
+        for v in probe_values:
+            v = float(v)
+            if not self.contains(v):
+                raise ValueError(f"probe value {v} outside domain {self.domain}")
+            back = self.inverse(self.forward(v))
+            if not math.isclose(back, v, rel_tol=rtol, abs_tol=rtol):
+                raise ValueError(
+                    f"inverse(forward({v})) = {back}, not an inverse within {rtol}"
+                )
+
+
+def identity_pair() -> KNFunctionPair:
+    return KNFunctionPair(lambda v: v, lambda v: v, (0.0, math.inf))
+
+
+def log_exp_pair() -> KNFunctionPair:
+    """log/exp pair; yields the geometric mean (0 is allowed, log(0) = -inf)."""
+
+    def _log(v: float) -> float:
+        return math.log(v) if v > 0 else -math.inf
+
+    return KNFunctionPair(_log, math.exp, (0.0, math.inf))
+
+
+def power_pair(r: float) -> KNFunctionPair:
+    """``v -> v**r`` with its inverse, for finite nonzero ``r``."""
+    r = float(r)
+    if r == 0.0 or not math.isfinite(r):
+        raise ValueError("power_pair needs a finite nonzero exponent")
+
+    def _fwd(v: float) -> float:
+        with np.errstate(divide="ignore"):
+            return float(np.power(v, r))
+
+    def _inv(v: float) -> float:
+        with np.errstate(divide="ignore"):
+            return float(np.power(v, 1.0 / r))
+
+    return KNFunctionPair(_fwd, _inv, (0.0, math.inf))
+
+
+def kn_mean(weights, values, pair: KNFunctionPair) -> float:
+    """Quasi-arithmetic mean of ``values`` under the function ``pair``.
+
+    With ``pair = power_pair(r)`` this agrees with ``power_mean(w, x, r)``;
+    it is an independent, naive-summation route.  Not log-stabilized on
+    purpose.
+    """
+    w = np.asarray(weights, dtype=float)
+    x = np.asarray(values, dtype=float)
+    mask = w > 0
+    w, x = w[mask], x[mask]
+    outside = [float(v) for v in x if not pair.contains(float(v))]
+    if outside:
+        raise ValueError(
+            f"values {outside} outside the function domain {pair.domain}"
+        )
+    fx = np.array([pair.forward(float(v)) for v in x], dtype=float)
+    if np.isnan(fx).any():
+        raise ValueError("forward function produced NaN on the support")
+    mean_fx = float(np.sum((w / w.sum()) * fx))
+    return float(pair.inverse(mean_fx))
+
+
+# ------------------------------------------------ identity routes
+
+
+def _escort_decomposition(m: MassMeasure, r: float) -> tuple[float, float, float]:
+    """Order-0 divergence / cross-entropy / entropy (all in nats) of the
+    order-``r`` self-escort ``rho`` of ``normalize(m)`` against it.
+
+    Returns ``(kl, cross, ent)`` with ``kl = sum rho*ln(rho/p)``,
+    ``cross = -sum rho*ln p`` and ``ent = -sum rho*ln rho``, computed in the
+    log domain so that extreme orders (|r| ~ 50) do not underflow.
+    """
+    p = normalize(m).weights
+    ln_p = np.log(p[p > 0])
+    log_t = (1.0 + r) * ln_p
+    top = float(log_t.max())
+    log_rho = log_t - (top + math.log(float(np.exp(log_t - top).sum())))
+    rho = np.exp(log_rho)
+    live = rho > 0
+    with np.errstate(invalid="ignore"):
+        kl = float(np.where(live, rho * (log_rho - ln_p), 0.0).sum())
+        ent = -float(np.where(live, rho * log_rho, 0.0).sum())
+    cross = -float(np.sum(rho * ln_p))
+    return kl, cross, ent
+
+
+def entropy_via_escort_rewrite(
+    m: MassMeasure, r: float, base: float = DEFAULT_BASE
+) -> tuple[EntropyValue, EntropyValue]:
+    """The entropy at finite nonzero ``r`` recomputed two independent ways
+    from Shannon-type quantities of the order-``r`` self-escort ``rho``:
+
+        route 1:  (1/r) * D_0(rho || p)  +  X_0(rho, p)
+        route 2:  -(1/r) * H_0(rho)  +  ((r+1)/r) * X_0(rho, p)
+
+    both displaced by ``-log_b(total mass)`` so they equal
+    ``shifted_entropy(m, r, base)`` for unnormalized measures too.
+    """
+    r = float(r)
+    if r == 0.0 or not math.isfinite(r):
+        raise ValueError("the escort rewrites need a finite nonzero order")
+    kl, cross, ent = _escort_decomposition(m, r)
+    route1 = kl / r + cross
+    route2 = -ent / r + (r + 1.0) / r * cross
+    shift = math.log(m.total)
+    ln_b = math.log(base)
+    return (
+        EntropyValue((route1 - shift) / ln_b, base, r),
+        EntropyValue((route2 - shift) / ln_b, base, r),
+    )
+
+
+def skew_symmetric_divergence(
+    p: MassMeasure, q: MassMeasure, r: float, base: float = DEFAULT_BASE
+) -> EntropyValue:
+    """The mirrored divergence ``-((r+1)/r) * D_{-(r+1)}(q || p)``.
+
+    For probability distributions with equal support this equals
+    ``shifted_divergence(p, q, r, base)`` at every finite ``r != 0``; at
+    ``r = 0`` the prefactor blows up and ValueError is raised.
+    """
+    r = float(r)
+    if r == 0.0:
+        raise ValueError("the skew identity is undefined at order 0")
+    if not math.isfinite(r):
+        raise ValueError("the skew identity needs a finite order")
+    if set(p.support_labels) != set(q.support_labels):
+        raise SupportViolationError(
+            "the skew identity needs equal supports",
+            labels=tuple(sorted(set(p.support_labels) ^ set(q.support_labels))),
+        )
+    mirrored = shifted_divergence(q, p, -(r + 1.0), base)
+    return EntropyValue(-(r + 1.0) / r * mirrored.value, base, r)
+
+
+def self_information_check(
+    p: MassMeasure, r: float, base: float = DEFAULT_BASE
+) -> tuple[EntropyValue, EntropyValue]:
+    """Entropy as a divergence from the squared measure.
+
+    Returns ``(H_r(p), D_{-r}(p || p*p))`` where ``(p*p)_i = w_i**2``; the
+    two coincide for every extended ``r``, including 0 and +-inf, and for
+    unnormalized measures.
+    """
+    squared = MassMeasure(p.labels, p.weights * p.weights)
+    lhs = shifted_entropy(p, r, base)
+    rhs = shifted_divergence(p, squared, -float(r), base)
+    return lhs, EntropyValue(rhs.value, base, lhs.order)
+
+
+def mass_displacement_check(
+    m: MassMeasure, r: float, base: float = DEFAULT_BASE
+) -> tuple[EntropyValue, EntropyValue]:
+    """Entropy of a mass measure vs entropy of its normalization displaced
+    by the log total mass.
+
+    Returns ``(H_r(m), H_r(normalize(m)) - log_b(total))``; the displacement
+    is the same at every order, which is the point of the construction.
+    """
+    lhs = shifted_entropy(m, r, base)
+    shift = math.log(m.total) / math.log(base)
+    displaced = shifted_entropy(normalize(m), r, base).value - shift
+    return lhs, EntropyValue(displaced, base, lhs.order)

@@ -21,29 +21,34 @@ from srenyi import (
     MassMeasure,
     OrderGrid,
     entropy_derivative,
-    entropy_via_escort_rewrite,
     equivalent_probability,
     from_counts,
     information_potential,
     invert_probability,
-    kn_mean,
-    mass_displacement_check,
     normalize,
     power_mean,
     power_mean_derivative,
-    power_pair,
     sample_spectrum,
-    self_information_check,
     shifted_cross_entropy,
     shifted_divergence,
     shifted_entropy,
-    skew_symmetric_divergence,
     standard_divergence,
     standard_entropy,
 )
 from srenyi.cli import main
 
-from support import UCB_COUNTS, UCB_LABELS, UCB_TOTAL, direct_power_mean
+from support import (
+    UCB_COUNTS,
+    UCB_LABELS,
+    UCB_TOTAL,
+    direct_power_mean,
+    entropy_via_escort_rewrite,
+    kn_mean,
+    mass_displacement_check,
+    power_pair,
+    self_information_check,
+    skew_symmetric_divergence,
+)
 
 SEED = 20260814
 

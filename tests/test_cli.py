@@ -19,7 +19,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import srenyi
-from srenyi.cli import main
+from srenyi.cli import main, read_measure
 
 from support import UCB_COUNTS, UCB_LABELS
 
@@ -280,6 +280,30 @@ class TestDivergenceCommand:
         assert payload["kind"] == "divergence"
         assert payload["uniform_reference"] is True
         assert payload["rows"][0]["order"] == "-inf"
+
+    def test_aligns_labels_once(self, capsys, monkeypatch, ucb_csv, tmp_path):
+        calls = []
+        original = srenyi.info.aligned_weights
+
+        def counting(p, q):
+            calls.append(1)
+            return original(p, q)
+
+        for module in (srenyi.info, srenyi.measures):
+            monkeypatch.setattr(module, "aligned_weights", counting)
+        q = tmp_path / "q.csv"
+        q.write_text(
+            "".join(f"{l},{w}\n" for l, w in zip(reversed(UCB_LABELS), range(1, 7)))
+        )
+        code, out, _ = run(capsys, ["divergence", ucb_csv, str(q)])
+        assert code == 0
+        assert len(calls) == 1
+        _, data = parse_csv_table(out)
+        assert len(data) == 105
+        p_measure, q_measure = read_measure(ucb_csv), read_measure(str(q))
+        for order, div in data:
+            expected = srenyi.shifted_divergence(p_measure, q_measure, float(order))
+            assert float(div) == expected.value
 
 
 class TestInvertCommand:

@@ -18,17 +18,13 @@ from srenyi import (
     MassMeasure,
     SupportViolationError,
     entropy_derivative,
-    entropy_via_escort_rewrite,
     equivalent_probability,
     from_counts,
     information_potential,
-    mass_displacement_check,
     normalize,
-    self_information_check,
     shifted_cross_entropy,
     shifted_divergence,
     shifted_entropy,
-    skew_symmetric_divergence,
     standard_divergence,
     standard_entropy,
 )
@@ -36,11 +32,15 @@ from srenyi import (
 from support import (
     UCB_TOTAL,
     direct_entropy,
+    entropy_via_escort_rewrite,
     kl_divergence,
+    mass_displacement_check,
     random_distribution,
     random_mass,
     random_order,
+    self_information_check,
     shannon_entropy,
+    skew_symmetric_divergence,
 )
 
 INF = math.inf

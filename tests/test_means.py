@@ -12,18 +12,20 @@ from numpy.testing import assert_allclose
 from srenyi import (
     DiscontinuityError,
     DivergentEscortError,
-    KNFunctionPair,
     escort_distribution,
-    identity_pair,
-    kn_mean,
-    log_exp_pair,
     log_power_mean,
     power_mean,
     power_mean_derivative,
-    power_pair,
 )
 
-from support import direct_power_mean
+from support import (
+    KNFunctionPair,
+    direct_power_mean,
+    identity_pair,
+    kn_mean,
+    log_exp_pair,
+    power_pair,
+)
 
 INF = math.inf
 
