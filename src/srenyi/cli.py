@@ -29,7 +29,8 @@ import math
 import os
 import sys
 import tempfile
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,14 +72,30 @@ class OptionError(ValueError):
 
 
 def read_measure(path: str) -> MassMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
-        raise ValueError(f"{path}: empty input file")
-    if path.lower().endswith(".json") or stripped[0] in "[{":
-        return _measure_from_json(path, text)
-    return _measure_from_csv(path, text)
+    """The measure in a CSV or JSON file, read in one pass over its lines.
+
+    The format is sniffed from the extension or the first non-blank
+    character; the lines up to it are kept, and the rest of the file is
+    only ever iterated (CSV) or read once (JSON).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            head = []
+            for line in fh:
+                head.append(line)
+                if line.strip():
+                    break
+            else:
+                raise ValueError(f"{path}: empty input file")
+            if path.lower().endswith(".json") or line.lstrip()[0] in "[{":
+                return _measure_from_json(path, "".join(head) + fh.read())
+            return _measure_from_csv(path, chain(head, fh))
+    except UnicodeDecodeError:
+        # the streaming decoder counts positions from the start of its
+        # current chunk; decoding the whole file reports the file offset
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+        raise
 
 
 def _measure_from_json(path: str, text: str) -> MassMeasure:
@@ -106,31 +123,33 @@ def _measure_from_json(path: str, text: str) -> MassMeasure:
     return MassMeasure(tuple(labels), np.array(weights))
 
 
-def _measure_from_csv(path: str, text: str) -> MassMeasure:
+def _measure_from_csv(path: str, lines: Iterator[str]) -> MassMeasure:
+    """Apply the row rules to every row: blank rows and ``#`` comments are
+    skipped, a ``label,weight`` header only before the first data row, and
+    every other row must be two cells with a numeric weight."""
     labels, weights = [], []
-    for row in csv.reader(io.StringIO(text)):
-        if not row or not "".join(row).strip():
-            continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        cells = [c.strip() for c in row]
-        if (
-            not labels
-            and len(cells) == 2
-            and cells[0].lower() == "label"
-            and cells[1].lower() == "weight"
-        ):
-            continue
-        if len(cells) != 2:
-            raise ValueError(
-                f"{path}: expected 'label,weight' rows, got {len(cells)} cells: {row}"
-            )
-        try:
-            weight = float(cells[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}: weight {cells[1]!r} is not a number") from exc
-        labels.append(cells[0])
-        weights.append(weight)
+    try:
+        for row in csv.reader(lines):
+            label = row[0].strip() if row else ""
+            if not label:
+                if not "".join(row).strip():
+                    continue  # blank row
+            elif label[0] == "#":
+                continue
+            if len(row) != 2:
+                raise ValueError(
+                    f"{path}: expected 'label,weight' rows, got {len(row)} cells: {row}"
+                )
+            text = row[1].strip()
+            if not labels and label.lower() == "label" and text.lower() == "weight":
+                continue
+            try:
+                weights.append(float(text))
+            except ValueError as exc:
+                raise ValueError(f"{path}: weight {text!r} is not a number") from exc
+            labels.append(label)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not labels:
         raise ValueError(f"{path}: no data rows")
     return MassMeasure(tuple(labels), np.array(weights))

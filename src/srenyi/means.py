@@ -74,19 +74,20 @@ def _positive_support(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return w[mask], x[mask]
 
 
-def _shifted_exp(a: np.ndarray) -> tuple[float, np.ndarray | None, float]:
-    """One max-shifted exponential pass: ``top = max(a)``, ``e = exp(a - top)``
-    and ``total = sum(e)``.
+def _shifted_exp_in_place(a: np.ndarray) -> tuple[float, np.ndarray | None, float]:
+    """One max-shifted exponential pass, in place: ``top = max(a)``, then
+    ``a`` is overwritten with ``e = exp(a - top)``, and ``total = sum(e)``.
 
     ``ln(sum(exp(a))) = top + ln(total)`` then holds with no term able to
     overflow, and ``e / total`` are the normalized weights ``exp(a) / sum``.
     An infinite ``top`` leaves nothing to shift: ``(top, None, 1.0)`` comes
-    back, which keeps ``top + ln(total) = top``.
+    back, which keeps ``top + ln(total) = top``, and ``a`` is untouched.
     """
     top = float(a.max())
     if math.isinf(top):
         return top, None, 1.0
-    e = np.exp(a - top)
+    a -= top
+    e = np.exp(a, out=a)
     return top, e, float(e.sum())
 
 
@@ -121,6 +122,13 @@ class _LogSupport:
         with np.errstate(over="ignore"):
             return float(np.exp(_log_moments(self, r)[0]))
 
+    def escort_terms(self, r: float) -> np.ndarray:
+        """``ln w_hat + r * ln x``, the log escort weights before
+        normalization, in one fresh array that the caller may overwrite."""
+        a = np.multiply(self.log_x, r)
+        a += self.log_w
+        return a
+
 
 def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float, float | None]:
     """``ln M_r`` of a log-support and, when ``escort`` is set, the escort
@@ -143,9 +151,8 @@ def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float,
         # the -inf from log(0) correctly
         geo = float(np.sum(s.norm_w * log_x))
         return geo, geo if escort else None
-    scaled = r * log_x
     if abs(r) * s.scale > 1.0:
-        top, e, total = _shifted_exp(s.log_w + scaled)
+        top, e, total = _shifted_exp_in_place(s.escort_terms(r))
         log_mean = (top + math.log(total)) / r
         return log_mean, float(np.dot(e, log_x)) / total if escort else None
     if s.finite and abs(r) * s.scale < 1e-300:
@@ -157,12 +164,15 @@ def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float,
         return geo + 0.5 * r * var, geo + r * var if escort else None
     # near-zero-order regime; expm1(-inf) = -1 and expm1(inf) = inf keep the
     # zero/inf value conventions intact
-    excess = float(np.sum(s.norm_w * np.expm1(scaled)))
+    terms = np.multiply(log_x, r)
+    np.expm1(terms, out=terms)
+    terms *= s.norm_w
+    excess = float(terms.sum())
     with np.errstate(divide="ignore"):
         log_mean = float(np.log1p(max(excess, -1.0)) / r)
     if not escort:
         return log_mean, None
-    _, e, total = _shifted_exp(s.log_w + scaled)
+    _, e, total = _shifted_exp_in_place(s.escort_terms(r))
     return log_mean, float(np.dot(e, log_x)) / total
 
 
@@ -235,7 +245,7 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
             f"escort weight diverges at order {r}: "
             "a value is 0 with r < 0, or inf with r > 0"
         )
-    _, e, total = _shifted_exp(log_terms)
+    _, e, total = _shifted_exp_in_place(log_terms)
     if e is None:
         raise ValueError("all escort weights are zero")
     out[mask] = e / total

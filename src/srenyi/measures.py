@@ -157,4 +157,6 @@ def _aligned_ratio(
             f"second measure is zero on labels {list(bad)} where the first is positive",
             labels=bad,
         )
-    return pw[mask] / qw[mask]
+    # an overflowing ratio is +inf, which the kernel handles; no warning
+    with np.errstate(over="ignore"):
+        return pw[mask] / qw[mask]

@@ -7,11 +7,15 @@ stress cases, which is part of what gets tested).  The Kolmogorov-Nagumo
 means and the identity routes of the paper (escort rewrites, skew symmetry,
 self-information, mass displacement) live here too: they use only the
 public ``srenyi`` API and numpy, so they share no private code with what
-they check.
+they check.  The textbook out-of-place kernel formulas and the input
+reader as it was before it streamed are kept here as oracles too (the
+reader borrows the library's JSON record parse, which it does not check).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -94,6 +98,99 @@ def kl_divergence(p_dist, q_dist, base=2.0) -> float:
     q = q_dist.weights
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])) / math.log(base))
+
+
+# ------------------------------------------------ kernel and reader references
+
+
+def reference_log_moments(weights, values, r, escort=False):
+    """``(ln M_r, E_rho[ln x] or None)`` by the textbook out-of-place
+    formulas: a max-shifted ``exp(a - top)`` for the log-sum-exp branch,
+    ``sum(w_hat * expm1(r ln x))`` near order zero, with the same branch
+    thresholds as the library kernel.  Every temporary is a fresh array."""
+    w = np.asarray(weights, dtype=float)
+    x = np.asarray(values, dtype=float)
+    w, x = w[w > 0], x[w > 0]
+    total = w.sum()
+    norm_w = w / total
+    log_w = np.log(w) - math.log(total)
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    finite = np.isfinite(log_x)
+    scale = float(np.abs(log_x[finite]).max()) if finite.any() else 0.0
+
+    def shifted(a):
+        top = float(a.max())
+        if math.isinf(top):
+            return top, None, 1.0
+        e = np.exp(a - top)
+        return top, e, float(e.sum())
+
+    if math.isinf(r):
+        return float(log_x.max() if r > 0 else log_x.min()), None
+    if r == 0.0:
+        geo = float(np.sum(norm_w * log_x))
+        return geo, geo if escort else None
+    scaled = r * log_x
+    if abs(r) * scale > 1.0:
+        top, e, e_total = shifted(log_w + scaled)
+        log_mean = (top + math.log(e_total)) / r
+        return log_mean, float(np.dot(e, log_x)) / e_total if escort else None
+    if finite.all() and abs(r) * scale < 1e-300:
+        geo = float(np.sum(norm_w * log_x))
+        var = float(np.sum(norm_w * (log_x - geo) ** 2))
+        return geo + 0.5 * r * var, geo + r * var if escort else None
+    excess = float(np.sum(norm_w * np.expm1(scaled)))
+    with np.errstate(divide="ignore"):
+        log_mean = float(np.log1p(max(excess, -1.0)) / r)
+    if not escort:
+        return log_mean, None
+    _, e, e_total = shifted(log_w + scaled)
+    return log_mean, float(np.dot(e, log_x)) / e_total
+
+
+def reference_read_measure(path: str) -> MassMeasure:
+    """The input reader as it was before it streamed: the whole text is read,
+    and a CSV file is parsed by ``csv.reader`` over an ``io.StringIO`` copy
+    of it.  ``csv.Error`` escapes as it is.  JSON records go to the
+    library's own ``_measure_from_json``, which this oracle does not check;
+    only the sniffing in front of it is."""
+    from srenyi.cli import _measure_from_json
+
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    stripped = text.lstrip()
+    if not stripped:
+        raise ValueError(f"{path}: empty input file")
+    if path.lower().endswith(".json") or stripped[0] in "[{":
+        return _measure_from_json(path, text)
+    labels, weights = [], []
+    for row in csv.reader(io.StringIO(text)):
+        if not row or not "".join(row).strip():
+            continue
+        if row[0].lstrip().startswith("#"):
+            continue
+        cells = [c.strip() for c in row]
+        if (
+            not labels
+            and len(cells) == 2
+            and cells[0].lower() == "label"
+            and cells[1].lower() == "weight"
+        ):
+            continue
+        if len(cells) != 2:
+            raise ValueError(
+                f"{path}: expected 'label,weight' rows, got {len(cells)} cells: {row}"
+            )
+        try:
+            weight = float(cells[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: weight {cells[1]!r} is not a number") from exc
+        labels.append(cells[0])
+        weights.append(weight)
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    return MassMeasure(tuple(labels), np.array(weights))
 
 
 # ------------------------------------------------ Kolmogorov-Nagumo means

@@ -305,6 +305,25 @@ class TestDivergenceCommand:
             expected = srenyi.shifted_divergence(p_measure, q_measure, float(order))
             assert float(div) == expected.value
 
+    def test_overflowing_ratio_prints_one_error_line(self, tmp_path):
+        # p/q overflows to inf on "a" and underflows to 0 on "b", so the
+        # order-0 mean is undefined; numpy must not warn on the way there
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        p.write_text("a,1e10\nb,1e-300\nc,1\n")
+        q.write_text("a,1e-310\nb,1e300\nc,1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "srenyi", "divergence", str(p), str(q)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "srenyi: error: order-0 mean is undefined: values contain both 0 and inf\n"
+        )
+
 
 class TestInvertCommand:
     def test_single_target(self, capsys, uniform_csv):

@@ -17,6 +17,7 @@ from srenyi import (
     power_mean,
     power_mean_derivative,
 )
+from srenyi.means import _log_moments, _LogSupport
 
 from support import (
     KNFunctionPair,
@@ -25,6 +26,7 @@ from support import (
     kn_mean,
     log_exp_pair,
     power_pair,
+    reference_log_moments,
 )
 
 INF = math.inf
@@ -372,3 +374,62 @@ class TestMeanDerivative:
             power_mean_derivative([1, 1], [0.0, 2.0], 1.0)
         with pytest.raises(ValueError):
             power_mean_derivative([1, 1], [INF, 2.0], 1.0)
+
+
+def _bits(values):
+    """Floats (or None) as exact hex strings, so -0.0 and NaN compare too."""
+    return [None if v is None else float(v).hex() for v in values]
+
+
+class TestKernelIsTheOutOfPlaceFormula:
+    """The in-place kernel is bitwise the textbook out-of-place formulas,
+    on every branch: +-inf, geometric, subnormal series, expm1 and
+    log-sum-exp, including the +-1e-300 orders and the +-50 grid ends."""
+
+    ORDERS = (
+        -INF, -50.0, -7.5, -1.0, -0.3, -1e-3, -1e-9, -1e-300, -1e-310,
+        0.0, 1e-310, 1e-300, 1e-9, 1e-3, 0.3, 1.0, 7.5, 50.0, INF,
+    )
+
+    @staticmethod
+    def supports(rng):
+        for n in (1, 2, 7, 1000):
+            w = rng.uniform(0.0, 1.0, n)
+            w[rng.random(n) < 0.2] = 0.0
+            w[0] = 1.0
+            yield w, np.exp(rng.uniform(-30.0, 30.0, n))  # log-sum-exp mostly
+            yield w, 1.0 + rng.uniform(0.0, 1e-3, n)  # expm1 up to |r| = 50
+            yield w * 1e-300, rng.uniform(0.0, 1.0, n)  # tiny weights
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_supports(self, seed):
+        rng = np.random.default_rng(seed)
+        for w, x in self.supports(rng):
+            support = _LogSupport(w, x)
+            for r in self.ORDERS:
+                for escort in (False, True):
+                    assert _bits(_log_moments(support, r, escort)) == _bits(
+                        reference_log_moments(w, x, r, escort)
+                    ), (w.size, r, escort)
+
+    def test_zero_and_infinite_values(self):
+        w = np.array([0.5, 0.25, 0.25, 0.0])
+        for x in ([0.0, 0.5, 2.0, 3.0], [np.inf, 0.5, 2.0, 0.0]):
+            support = _LogSupport(w, x)
+            for r in self.ORDERS:
+                if r == 0.0:
+                    continue
+                # log1p(-1) / 1e-310 overflows to -inf on both routes
+                with np.errstate(over="ignore"):
+                    got, want = _log_moments(support, r), reference_log_moments(w, x, r)
+                assert _bits(got) == _bits(want), (x, r)
+
+    def test_escort_distribution(self, rng):
+        w = rng.uniform(0.0, 1.0, 500)
+        x = np.exp(rng.uniform(-30.0, 30.0, 500))
+        for r in self.ORDERS:
+            if r == 0.0 or math.isinf(r):
+                continue
+            a = np.log(w) + r * np.log(x)
+            e = np.exp(a - a.max())
+            assert escort_distribution(w, x, r).tobytes() == (e / e.sum()).tobytes()
