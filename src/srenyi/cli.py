@@ -118,9 +118,9 @@ def _measure_from_json(path: str, text: str) -> MassMeasure:
         weight = record["weight"]
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise ValueError(f"{path}: record {i}: weight must be a number")
-        labels.append(str(record["label"]))
+        labels.append(record["label"])
         weights.append(float(weight))
-    return MassMeasure(tuple(labels), np.array(weights))
+    return MassMeasure(labels, weights)
 
 
 def _measure_from_csv(path: str, lines: Iterator[str]) -> MassMeasure:
@@ -152,7 +152,7 @@ def _measure_from_csv(path: str, lines: Iterator[str]) -> MassMeasure:
         raise ValueError(f"{path}: {exc}") from exc
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    return MassMeasure(tuple(labels), np.array(weights))
+    return MassMeasure(labels, weights)
 
 
 # ---------------------------------------------------------------- options

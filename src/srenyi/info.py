@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .means import (
-    _check_order,
-    _log_moments,
-    _LogSupport,
-    log_power_mean,
-)
+from .means import _check_order, _log_moments, _LogSupport
 from .measures import MassMeasure, _aligned_ratio, aligned_weights
 
 __all__ = [
@@ -66,7 +61,7 @@ class EntropyValue:
 
 def _check_base(base: float) -> float:
     base = float(base)
-    if math.isnan(base) or not base > 1.0:
+    if not 1.0 < base < math.inf:
         raise ValueError(f"log base must be a real number > 1, got {base!r}")
     return base
 
@@ -75,7 +70,7 @@ def shifted_entropy(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> Ent
     """Shifted Renyi entropy ``-log_b M_r(w_hat, w)`` of a mass measure."""
     base = _check_base(base)
     r = _check_order(r)
-    nat = -log_power_mean(m.weights, m.weights, r)
+    nat = -_log_moments(_LogSupport(m.weights, m.weights), r)[0]
     return EntropyValue(nat / math.log(base), base, r)
 
 
@@ -114,8 +109,7 @@ def shifted_cross_entropy(
     base = _check_base(base)
     r = _check_order(r)
     _, pw, qw = aligned_weights(p, q)
-    mask = pw > 0
-    nat = -log_power_mean(pw[mask], qw[mask], r)
+    nat = -_log_moments(_LogSupport(pw, qw), r)[0]
     return EntropyValue(nat / math.log(base), base, r)
 
 
@@ -154,7 +148,7 @@ def information_potential(m: MassMeasure, r: float) -> float:
     if r == 0.0:
         return 1.0
     with np.errstate(over="ignore"):
-        return float(np.exp(r * log_power_mean(m.weights, m.weights, r)))
+        return float(np.exp(r * _log_moments(_LogSupport(m.weights, m.weights), r)[0]))
 
 
 # Up to this |r| * (max ln p - min ln p) the slope comes from its Taylor

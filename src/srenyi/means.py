@@ -16,7 +16,8 @@ the direct sum would overflow or underflow; tiny orders switch to
 expm1/log1p (and ultimately series) evaluations that stay accurate through
 the geometric limit.  Entries with zero weight are dropped before
 anything else happens; values may be ``0`` or ``+inf``, weights must be
-finite and non-negative with a positive total.
+finite and non-negative with a positive, finite total; the four public
+functions check this once, and the kernel behind them trusts it.
 
 There is deliberately no epsilon snapping here: ``r = 1e-300`` is a power
 mean, not a geometric mean.  Callers that want to round near-zero orders do
@@ -57,6 +58,11 @@ def _as_weight_value_arrays(weights: ArrayLike, values: ArrayLike) -> tuple[np.n
         raise ValueError("weights must be finite")
     if (w < 0).any() or (x < 0).any():
         raise ValueError("weights and values must be non-negative")
+    if not (w > 0).any():
+        raise ValueError("total weight must be positive")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(w.sum()):
+            raise ValueError("total weight must be finite")
     return w, x
 
 
@@ -65,13 +71,6 @@ def _check_order(r: float) -> float:
     if math.isnan(r):
         raise ValueError("order must not be NaN")
     return r
-
-
-def _positive_support(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = w > 0
-    if not mask.any():
-        raise ValueError("total weight must be positive")
-    return w[mask], x[mask]
 
 
 def _shifted_exp_in_place(a: np.ndarray) -> tuple[float, np.ndarray | None, float]:
@@ -98,12 +97,15 @@ class _LogSupport:
 
     ``scale`` (the largest finite ``|ln x|``) selects the branch of
     :func:`_log_moments` at each order without another pass over the data.
+    The arrays are trusted as a ``MassMeasure`` or the raw-array check
+    leaves them, and are not validated again.
     """
 
     __slots__ = ("values", "norm_w", "log_w", "log_x", "finite", "scale")
 
-    def __init__(self, weights: ArrayLike, values: ArrayLike):
-        w, x = _positive_support(*_as_weight_value_arrays(weights, values))
+    def __init__(self, weights: np.ndarray, values: np.ndarray):
+        mask = weights > 0
+        w, x = weights[mask], values[mask]
         total = w.sum()
         self.values = x
         self.norm_w = w / total
@@ -168,7 +170,8 @@ def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float,
     np.expm1(terms, out=terms)
     terms *= s.norm_w
     excess = float(terms.sum())
-    with np.errstate(divide="ignore"):
+    # log1p(-1) = -inf, and at a subnormal r the division can overflow
+    with np.errstate(divide="ignore", over="ignore"):
         log_mean = float(np.log1p(max(excess, -1.0)) / r)
     if not escort:
         return log_mean, None
@@ -197,7 +200,7 @@ def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     ``log1p(sum w_i*expm1(r*log(x_i)))/r``, whose error stays bounded all
     the way into the geometric limit.
     """
-    s = _LogSupport(weights, values)
+    s = _LogSupport(*_as_weight_value_arrays(weights, values))
     return _log_moments(s, _check_order(r))[0]
 
 
@@ -210,7 +213,7 @@ def power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     logs).  See :func:`log_power_mean` for the edge-case conventions; at
     finite orders this is just its exponential.
     """
-    return _LogSupport(weights, values).mean(_check_order(r))
+    return _LogSupport(*_as_weight_value_arrays(weights, values)).mean(_check_order(r))
 
 
 def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.ndarray:
@@ -226,8 +229,6 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
     w, x = _as_weight_value_arrays(weights, values)
     r = _check_order(r)
     mask = w > 0
-    if not mask.any():
-        raise ValueError("total weight must be positive")
     out = np.zeros_like(w)
     ws, xs = w[mask], x[mask]
     if math.isinf(r):
@@ -265,7 +266,7 @@ def power_mean_derivative(weights: ArrayLike, values: ArrayLike, r: float) -> fl
     ``r = 0``.  The result is always >= 0 up to roundoff (power means are
     non-decreasing in the order).
     """
-    s = _LogSupport(weights, values)
+    s = _LogSupport(*_as_weight_value_arrays(weights, values))
     r = _check_order(r)
     if r == 0.0 or math.isinf(r):
         raise ValueError("the escort derivative formula needs a finite nonzero order")

@@ -25,7 +25,8 @@ NORMALIZATION_TOL = 1e-9
 class MassMeasure:
     """Finite non-negative weights attached to unique string labels.
 
-    Weights need not sum to one; at least one must be positive.  The weight
+    Weights need not sum to one; at least one must be positive and their
+    total finite.  Code that takes a measure trusts this.  The weight
     array is stored as a read-only float64 copy, so instances are safe to
     share.
     """
@@ -53,6 +54,9 @@ class MassMeasure:
             raise ValueError("weights must be non-negative")
         if not (w > 0).any():
             raise ValueError("at least one weight must be positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(w.sum()):
+                raise ValueError("total weight must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", w)

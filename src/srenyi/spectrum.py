@@ -25,7 +25,7 @@ from .errors import (
 )
 from .info import DEFAULT_BASE, EntropyValue, _SelfSpectrum
 from .means import _LogSupport
-from .measures import MassMeasure, normalize
+from .measures import MassMeasure
 
 __all__ = [
     "OrderGrid",
@@ -188,8 +188,8 @@ def sample_spectrum(
     ``m`` on every order of ``grid``, and validate the result.
 
     Potential and slope are None on the +-inf rows, where they are not
-    defined.  The measure is validated and its logs taken once; each row
-    then costs one kernel pass and equals what ``shifted_entropy``,
+    defined.  The measure is trusted as built and its logs are taken once;
+    each row then costs one kernel pass and equals what ``shifted_entropy``,
     ``equivalent_probability``, ``information_potential`` and
     ``entropy_derivative`` return at its order.  The returned table has
     already passed :meth:`SpectrumTable.validate`.
@@ -219,7 +219,7 @@ def invert_probability(
     returning the corresponding infinity; bisection inside the bracket
     raises :class:`ConvergenceError` after 200 iterations.
     """
-    p = normalize(m).weights
+    p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
     return _invert(_LogSupport(p, p), target_p, search_bound, tol)
 
 
@@ -283,10 +283,10 @@ def recover_distribution_probe(
     components reproduces the distinct weights of the distribution within
     ``tol``.
     """
-    dist = normalize(m)
-    support = _LogSupport(dist.weights, dist.weights)
+    p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
+    support = _LogSupport(p, p)
     by_value: dict[float, list[str]] = {}
-    for label, weight in dist.items():
+    for label, weight in zip(m.labels, p.tolist()):
         if weight > 0:
             by_value.setdefault(weight, []).append(label)
     rows = []

@@ -325,6 +325,25 @@ class TestDivergenceCommand:
         )
 
 
+@pytest.mark.parametrize(
+    "argv", [["spectrum"], ["invert", "--all"], ["invert", "--target", "0.5"]]
+)
+def test_overflowing_total_prints_one_error_line(tmp_path, argv):
+    # both weights are finite, their total is not; numpy must not warn
+    path = tmp_path / "huge.csv"
+    path.write_text("a,1e308\nb,1e308\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "srenyi", argv[0], str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "srenyi: error: total weight must be finite\n"
+
+
 class TestInvertCommand:
     def test_single_target(self, capsys, uniform_csv):
         code, out, _ = run(

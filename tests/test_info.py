@@ -16,12 +16,14 @@ import srenyi.measures
 from srenyi import (
     Distribution,
     MassMeasure,
+    OrderGrid,
     SupportViolationError,
     entropy_derivative,
     equivalent_probability,
     from_counts,
     information_potential,
     normalize,
+    sample_spectrum,
     shifted_cross_entropy,
     shifted_divergence,
     shifted_entropy,
@@ -96,6 +98,19 @@ class TestEntropyLandmarks:
         for bad in (1.0, 0.5, -2.0, math.nan):
             with pytest.raises(ValueError):
                 shifted_entropy(ucb_dist, 1.0, base=bad)
+
+    def test_infinite_base_is_rejected(self, ucb_dist):
+        # in base inf every entropy would read -0.0, and a spectrum would
+        # fail its own consistency check
+        for call in (
+            lambda b: shifted_entropy(ucb_dist, 1.0, base=b),
+            lambda b: shifted_divergence(ucb_dist, ucb_dist, 1.0, base=b),
+            lambda b: shifted_cross_entropy(ucb_dist, ucb_dist, 1.0, base=b),
+            lambda b: entropy_derivative(ucb_dist, 1.0, base=b),
+            lambda b: sample_spectrum(ucb_dist, OrderGrid.named(), b),
+        ):
+            with pytest.raises(ValueError, match="log base must be a real number > 1, got inf"):
+                call(math.inf)
 
     def test_monotone_nonincreasing_in_order(self, rng):
         for _ in range(30):

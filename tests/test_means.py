@@ -2,6 +2,7 @@
 algebraic properties that make them means."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import srenyi
 from srenyi import (
     DiscontinuityError,
     DivergentEscortError,
@@ -17,6 +19,7 @@ from srenyi import (
     power_mean,
     power_mean_derivative,
 )
+from srenyi.cli import main
 from srenyi.means import _log_moments, _LogSupport
 
 from support import (
@@ -88,6 +91,13 @@ class TestEdgeConventions:
     def test_positive_order_with_zero_value_is_finite(self):
         assert power_mean([1, 1], [0.0, 2.0], 2.0) == pytest.approx(math.sqrt(2.0))
 
+    @pytest.mark.parametrize("r", [1e-310, -1e-310])
+    def test_subnormal_order_with_zero_value_does_not_warn(self, r):
+        # at r = 1e-310, log1p(excess) / r overflows to the right answer, -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_power_mean([0.5, 0.5], [0.0, 2.0], r) == -INF
+
     def test_extremes_ignore_zero_and_inf_interplay(self):
         assert power_mean([1, 1, 1], [0.0, 1.0, INF], INF) == INF
         assert power_mean([1, 1, 1], [0.0, 1.0, INF], -INF) == 0.0
@@ -95,34 +105,96 @@ class TestEdgeConventions:
 
 class TestValidation:
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length mismatch: 2 weights vs 3 values"):
             power_mean([1, 2], [1, 2, 3], 1.0)
 
     def test_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"need at least one \(weight, value\) pair"):
             power_mean([], [], 1.0)
 
     def test_all_zero_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="total weight must be positive"):
             power_mean([0, 0], [1, 2], 1.0)
 
     def test_negative_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights and values must be non-negative"):
             power_mean([1, -1], [1, 2], 1.0)
 
     def test_negative_value(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights and values must be non-negative"):
             power_mean([1, 1], [1, -2], 1.0)
 
     def test_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN entries are not allowed"):
             power_mean([1, 1], [1, math.nan], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order must not be NaN"):
             power_mean([1, 1], [1, 2], math.nan)
 
     def test_infinite_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must be finite"):
             power_mean([1, INF], [1, 2], 1.0)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, -1.0])
+    def test_overflowing_total(self, r):
+        # each weight is finite, but their sum is not: normalizing by it
+        # would silently turn every mean into 1.0
+        w, x = [1e308, 1e308], [1.0, 2.0]
+        for f in (log_power_mean, power_mean, escort_distribution):
+            with pytest.raises(ValueError, match="total weight must be finite"):
+                f(w, x, r)
+        with pytest.raises(ValueError, match="total weight must be finite"):
+            power_mean_derivative(w, x, 1.0)
+        # the same two equal weights, scaled down, give the true means
+        assert power_mean([1e307, 1e307], x, r) == pytest.approx(
+            {0.0: math.sqrt(2.0), 1.0: 1.5, -1.0: 4.0 / 3.0}[r], rel=1e-15
+        )
+
+
+class TestRawArrayCheckRunsOnlyAtTheBoundary:
+    """The raw-array check runs once per call of a raw-array function, and
+    never behind a function that takes an already validated measure."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        check = srenyi.means._as_weight_value_arrays
+
+        def counting(weights, values):
+            calls.append(len(weights))
+            return check(weights, values)
+
+        monkeypatch.setattr(srenyi.means, "_as_weight_value_arrays", counting)
+        return calls
+
+    MEASURE_FUNCTIONS = {
+        "shifted_entropy": lambda p, q: srenyi.shifted_entropy(p, 0.5),
+        "shifted_divergence": lambda p, q: srenyi.shifted_divergence(p, q, 0.5),
+        "shifted_cross_entropy": lambda p, q: srenyi.shifted_cross_entropy(p, q, 0.5),
+        "equivalent_probability": lambda p, q: srenyi.equivalent_probability(p, 0.5),
+        "information_potential": lambda p, q: srenyi.information_potential(p, 0.5),
+        "entropy_derivative": lambda p, q: srenyi.entropy_derivative(p, 0.5),
+        "sample_spectrum": lambda p, q: srenyi.sample_spectrum(p, srenyi.OrderGrid.default()),
+        "invert_probability": lambda p, q: srenyi.invert_probability(p, 0.2),
+        "recover_distribution_probe": lambda p, q: srenyi.recover_distribution_probe(p),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEASURE_FUNCTIONS))
+    def test_measure_functions_never_check(self, calls, name, ucb_counts):
+        q = srenyi.from_counts(ucb_counts.labels[::-1], (1, 2, 3, 4, 5, 6))
+        self.MEASURE_FUNCTIONS[name](ucb_counts, q)
+        assert calls == []
+
+    def test_divergence_command_never_checks(self, calls, capsys, tmp_path):
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        p.write_text("a,1\nb,2\nc,0\n")
+        q.write_text("c,1\nb,1\na,3\n")
+        assert main(["divergence", str(p), str(q)]) == 0
+        assert capsys.readouterr().out
+        assert calls == []
+
+    def test_log_power_mean_checks_once(self, calls):
+        log_power_mean([1.0, 2.0, 0.0], [0.5, 0.25, 0.25], 0.5)
+        assert calls == [3]
 
 
 class TestLogDomainStability:
@@ -364,15 +436,15 @@ class TestMeanDerivative:
             assert power_mean_derivative(w, x, r) >= -1e-12
 
     def test_rejects_zero_and_infinite_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a finite nonzero order"):
             power_mean_derivative([1, 1], [1, 2], 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a finite nonzero order"):
             power_mean_derivative([1, 1], [1, 2], INF)
 
     def test_rejects_zero_or_infinite_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="values on the support must be positive and finite"):
             power_mean_derivative([1, 1], [0.0, 2.0], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="values on the support must be positive and finite"):
             power_mean_derivative([1, 1], [INF, 2.0], 1.0)
 
 
@@ -415,7 +487,7 @@ class TestKernelIsTheOutOfPlaceFormula:
     def test_zero_and_infinite_values(self):
         w = np.array([0.5, 0.25, 0.25, 0.0])
         for x in ([0.0, 0.5, 2.0, 3.0], [np.inf, 0.5, 2.0, 0.0]):
-            support = _LogSupport(w, x)
+            support = _LogSupport(w, np.asarray(x))
             for r in self.ORDERS:
                 if r == 0.0:
                     continue

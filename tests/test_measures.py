@@ -36,28 +36,38 @@ class TestConstruction:
         assert normalize(m).weights[0] == 1.0
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="counts must be a non-empty one-dimensional sequence"):
             from_counts((), ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one count must be positive"):
             from_counts(("a", "b"), (0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"duplicate labels: \['a'\]"):
             from_counts(("a", "a"), (1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
             from_counts(("a", "b"), (1, -2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="counts must be integers"):
             from_counts(("a", "b"), (1, 1.5))
 
     def test_measure_rejections(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must not be NaN"):
             MassMeasure(("a", "b"), np.array([1.0, math.nan]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must be finite"):
             MassMeasure(("a", "b"), np.array([1.0, math.inf]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must be non-negative"):
             MassMeasure(("a", "b"), np.array([-1.0, 2.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one weight must be positive"):
             MassMeasure(("a", "b"), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 labels for 2 weights"):
             MassMeasure(("a",), np.array([1.0, 2.0]))
+
+    def test_overflowing_total_is_rejected(self):
+        # each weight is finite but the total is not; the entropy of such a
+        # measure came out as -0.0 instead of about -1023.15 bits
+        for cls in (MassMeasure, Distribution):
+            with pytest.raises(ValueError, match="total weight must be finite"):
+                cls(("a", "b"), np.array([1e308, 1e308]))
+        with pytest.raises(ValueError, match="total weight must be finite"):
+            from_counts(("a", "b"), (1e308, 1e308))
+        assert MassMeasure(("a", "b"), np.array([1e308, 0.5e308])).total == 1.5e308
 
     def test_weights_are_read_only(self, ucb_counts):
         with pytest.raises(ValueError):
