@@ -193,20 +193,15 @@ def parse_orders(text: str | None) -> OrderGrid:
 
 
 def _parse_order_token(token: str) -> float:
-    t = token.strip().lower()
-    if not t:
+    if not token.strip():
         raise ValueError("empty order token")
-    if t in ("inf", "+inf", "infinity", "+infinity"):
-        return math.inf
-    if t in ("-inf", "-infinity"):
-        return -math.inf
-    return float(t)
+    return float(token)
 
 
 def _snap_zeros(values) -> list[float]:
     return [
-        0.0 if (math.isfinite(v) and abs(v) < ORDER_SNAP_EPS) else float(v)
-        for v in (float(v) for v in values)
+        0.0 if math.isfinite(v) and abs(v) < ORDER_SNAP_EPS else v
+        for v in map(float, values)
     ]
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .means import _check_order, _log_moments, _LogSupport
+from .means import _check_order, _log_mean_slope, _log_moments, _LogSupport
 from .measures import MassMeasure, _aligned_ratio, aligned_weights
 
 __all__ = [
@@ -151,85 +151,22 @@ def information_potential(m: MassMeasure, r: float) -> float:
         return float(np.exp(r * _log_moments(_LogSupport(m.weights, m.weights), r)[0]))
 
 
-# Up to this |r| * (max ln p - min ln p) the slope comes from its Taylor
-# series at r = 0, whose first dropped term is ~(|r| * spread)**3 / 15
-# relative; beyond it the rounding error of the closed form, which grows
-# like 1e-16 / (|r| * spread), is the smaller one.
-SLOPE_SERIES_RADIUS = 1e-3
-
-
-class _SelfSpectrum:
-    """Every column of a spectrum row of one measure ``m``, at any order,
-    from one kernel pass over its log-support, which is computed once.
-
-    With ``w_hat`` the normalized weights, all four columns at order ``r``
-    are views of the log-moment ``K(r) = ln sum w_hat * w**r``, which for a
-    distribution is ``ln sum p**(1+r)``: the entropy is ``-K / (r ln b)``,
-    the equivalent probability ``exp(K / r)``, the potential ``exp(K)``,
-    and the slope ``-(r K' - K) / (r**2 ln b)`` needs only
-    ``K' = E_rho[ln w]`` under the self-escort ``rho ~ w_hat * w**r``,
-    which comes from the same exponential pass.  The first three are
-    bitwise the values of the scalar functions.
-    """
-
-    def __init__(self, m: MassMeasure, base: float):
-        self.base = _check_base(base)
-        self.ln_b = math.log(self.base)
-        self.support = _LogSupport(m.weights, m.weights)
-        w, log_x = self.support.norm_w, self.support.log_x
-        self.spread = float(log_x.max() - log_x.min())
-        # second to fourth cumulants of ln w (equivalently ln p_hat) under w_hat
-        d = log_x - float(np.sum(w * log_x))
-        d2 = d * d
-        k2 = float(np.sum(w * d2))
-        self.cumulants = (
-            k2,
-            float(np.sum(w * d2 * d)),
-            float(np.sum(w * d2 * d2)) - 3.0 * k2 * k2,
-        )
-
-    def row(self, r: float) -> tuple[EntropyValue, float, float | None, float | None]:
-        """``(entropy, equiv_prob, potential, slope)`` at order ``r``; the
-        last two are None at ``r = +-inf``."""
-        series = abs(r) * self.spread <= SLOPE_SERIES_RADIUS
-        log_mean, escort_mean = _log_moments(
-            self.support, r, escort=math.isfinite(r) and not series
-        )
-        entropy = EntropyValue(-log_mean / self.ln_b, self.base, r)
-        if math.isinf(r):
-            return entropy, self.support.mean(r), None, None
-        with np.errstate(over="ignore"):
-            prob = float(np.exp(log_mean))
-            potential = 1.0 if r == 0.0 else float(np.exp(r * log_mean))
-        if series:
-            # (r K' - K) / r**2 = k2/2 + r k3/3 + r**2 k4/8 + O(r**3)
-            k2, k3, k4 = self.cumulants
-            kl_over_r2 = 0.5 * k2 + r * k3 / 3.0 + r * r * k4 / 8.0
-        else:
-            # (r K' - K) / r**2 = D_0(rho || w_hat) / r**2, never negative
-            kl_over_r2 = max((escort_mean - log_mean) / r, 0.0)
-        slope = -kl_over_r2 / self.ln_b
-        return entropy, prob, potential, slope if slope < 0.0 else 0.0
-
-
 def entropy_derivative(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> float:
     """d/dr of the entropy spectrum ``r -> H_r(m)`` at finite ``r``.
 
-    Away from ``r = 0`` this is the closed form
-
-        H_r'(r) = -(1/r**2) * D_0(escort_r || p) / ln(b)
-
-    with the order-0 divergence of the self-escort, which makes the sign
-    explicit: the spectrum never increases, so the result is always <= 0.
-    The closed form cancels catastrophically as ``r -> 0``, so within
-    ``|r| * (max ln p - min ln p) <= SLOPE_SERIES_RADIUS`` its Taylor series
-    in the cumulants ``k_n`` of ``ln p`` under ``p`` is used instead,
-
-        H_r'(r) = -(k_2/2 + r k_3/3 + r**2 k_4/8) / ln(b),
-
-    which at ``r = 0`` is the exact ``-Var_p(ln p) / (2 ln b)``.
+    ``H_r = -ln M_r(w_hat, w) / ln(b)``, so this is ``-slope / ln(b)`` with
+    the library's one slope ``d ln M_r / dr`` (``srenyi.means``, where
+    ``SLOPE_SERIES_RADIUS`` lives too).  Away from ``r = 0`` it is the
+    closed form ``-(1/r**2) * D_0(escort_r || p) / ln(b)``, with the order-0
+    divergence of the self-escort, which makes the sign explicit: the
+    spectrum never increases, so the result is always <= 0.  Within
+    ``|r| * (max ln p - min ln p) <= SLOPE_SERIES_RADIUS``, where that
+    cancels, the cumulant series of ``ln p`` under ``p`` is used instead,
+    ``-(k_2/2 + r k_3/3 + r**2 k_4/8) / ln(b)``, which at ``r = 0`` is the
+    exact ``-Var_p(ln p) / (2 ln b)``.
     """
     r = _check_order(r)
     if math.isinf(r):
         raise ValueError("the spectrum derivative needs a finite order")
-    return _SelfSpectrum(m, base).row(r)[3]
+    ln_b = math.log(_check_base(base))
+    return min(0.0, -_log_mean_slope(_LogSupport(m.weights, m.weights), r)[1] / ln_b)

@@ -96,12 +96,15 @@ class _LogSupport:
     logs, and the logs of the values, all on the positive-weight support.
 
     ``scale`` (the largest finite ``|ln x|``) selects the branch of
-    :func:`_log_moments` at each order without another pass over the data.
-    The arrays are trusted as a ``MassMeasure`` or the raw-array check
-    leaves them, and are not validated again.
+    :func:`_log_moments` at each order without another pass over the data,
+    and ``spread`` (the largest minus the smallest finite ``ln x``) the
+    branch of :func:`_log_mean_slope`.  The arrays are trusted as a
+    ``MassMeasure`` or the raw-array check leaves them, and are not
+    validated again.
     """
 
-    __slots__ = ("values", "norm_w", "log_w", "log_x", "finite", "scale")
+    __slots__ = ("values", "norm_w", "log_w", "log_x", "finite", "scale", "spread",
+                 "_cumulants")
 
     def __init__(self, weights: np.ndarray, values: np.ndarray):
         mask = weights > 0
@@ -114,7 +117,11 @@ class _LogSupport:
             self.log_x = np.log(x)
         finite = np.isfinite(self.log_x)
         self.finite = bool(finite.all())
-        self.scale = float(np.abs(self.log_x[finite]).max()) if finite.any() else 0.0
+        logs = self.log_x if self.finite else self.log_x[finite]
+        lo, hi = (float(logs.min()), float(logs.max())) if logs.size else (0.0, 0.0)
+        self.scale = max(hi, -lo)
+        self.spread = hi - lo
+        self._cumulants = None
 
     def mean(self, r: float) -> float:
         """``M_r``: the exact max / min value at ``r = +-inf`` (not
@@ -123,6 +130,21 @@ class _LogSupport:
             return float(self.values.max() if r > 0 else self.values.min())
         with np.errstate(over="ignore"):
             return float(np.exp(_log_moments(self, r)[0]))
+
+    def cumulants(self) -> tuple[float, float, float]:
+        """The second to fourth cumulants of ``ln x`` under ``w_hat``,
+        computed on first use and kept; every value must be finite."""
+        if self._cumulants is None:
+            w, log_x = self.norm_w, self.log_x
+            d = log_x - float(np.sum(w * log_x))
+            d2 = d * d
+            k2 = float(np.sum(w * d2))
+            self._cumulants = (
+                k2,
+                float(np.sum(w * d2 * d)),
+                float(np.sum(w * d2 * d2)) - 3.0 * k2 * k2,
+            )
+        return self._cumulants
 
     def escort_terms(self, r: float) -> np.ndarray:
         """``ln w_hat + r * ln x``, the log escort weights before
@@ -177,6 +199,36 @@ def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float,
         return log_mean, None
     _, e, total = _shifted_exp_in_place(s.escort_terms(r))
     return log_mean, float(np.dot(e, log_x)) / total
+
+
+# Up to this |r| * spread the slope comes from its Taylor series at r = 0,
+# whose first dropped term is ~(|r| * spread)**3 / 15 relative; beyond it
+# the rounding error of the closed form, which grows like
+# 1e-16 / (|r| * spread), is the smaller one.
+SLOPE_SERIES_RADIUS = 1e-3
+
+
+def _log_mean_slope(s: _LogSupport, r: float) -> tuple[float, float]:
+    """``(ln M_r, d ln M_r / dr)`` at a finite order ``r``; every value on
+    the support must be positive and finite.
+
+    With ``K(r) = r ln M_r = ln sum w_hat * x**r`` the log-moment, the slope
+    is ``(r K' - K) / r**2``, and ``K' = E_rho[ln x]`` under the escort
+    ``rho ~ w_hat * x**r`` comes from the same kernel pass as ``ln M_r``.
+    That is ``D_0(rho || w_hat) / r**2``, never negative.  The closed form
+    cancels catastrophically as ``r -> 0``, so within
+    ``|r| * spread <= SLOPE_SERIES_RADIUS`` its Taylor series in the
+    cumulants ``k_n`` of ``ln x`` under ``w_hat`` is used instead,
+    ``k_2/2 + r k_3/3 + r**2 k_4/8``, which at ``r = 0`` is the exact
+    ``Var(ln x) / 2``.  Every slope in the library comes from here: the
+    spectrum column, :func:`srenyi.info.entropy_derivative` and
+    :func:`power_mean_derivative`.
+    """
+    if abs(r) * s.spread <= SLOPE_SERIES_RADIUS:
+        k2, k3, k4 = s.cumulants()
+        return _log_moments(s, r)[0], 0.5 * k2 + r * k3 / 3.0 + r * r * k4 / 8.0
+    log_mean, escort_mean = _log_moments(s, r, escort=True)
+    return log_mean, max((escort_mean - log_mean) / r, 0.0)
 
 
 def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
@@ -254,16 +306,14 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
 
 
 def power_mean_derivative(weights: ArrayLike, values: ArrayLike, r: float) -> float:
-    """d/dr of ``M_r(w, x)`` at finite nonzero ``r``.
-
-    Uses the escort identity
-
-        M_r'(r) = (1/r) * M_r * ( ln M_0(escort_r(w, x), x) - ln M_r )
-
-    with natural logs, where the escort geometric mean comes from the same
-    kernel pass as ``M_r``.  Every value on the support must be positive
-    and finite; take a finite difference if you need the derivative at
-    ``r = 0``.  The result is always >= 0 up to roundoff (power means are
+    """d/dr of ``M_r(w, x)`` at finite nonzero ``r``: ``M_r`` times the
+    slope ``d ln M_r / dr`` of :func:`_log_mean_slope`, the one the entropy
+    spectrum uses.  That is the escort closed form
+    ``(ln M_0(escort_r(w, x), x) - ln M_r) / r``, and within
+    ``|r| * (max ln x - min ln x) <= SLOPE_SERIES_RADIUS`` (defined next to
+    it) its cumulant series at ``r = 0``, which does not cancel there.
+    Every value on the support must be positive and finite, and ``r = 0``
+    is rejected.  The result is never negative (power means are
     non-decreasing in the order).
     """
     s = _LogSupport(*_as_weight_value_arrays(weights, values))
@@ -272,5 +322,5 @@ def power_mean_derivative(weights: ArrayLike, values: ArrayLike, r: float) -> fl
         raise ValueError("the escort derivative formula needs a finite nonzero order")
     if not s.finite:
         raise ValueError("values on the support must be positive and finite")
-    log_m_r, log_m_0 = _log_moments(s, r, escort=True)
-    return float(np.exp(log_m_r) * (log_m_0 - log_m_r) / r)
+    log_mean, slope = _log_mean_slope(s, r)
+    return float(np.exp(log_mean) * slope)

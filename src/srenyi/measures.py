@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,7 +45,7 @@ class MassMeasure:
         if w.size == 0:
             raise ValueError("measure must have at least one outcome")
         if len(set(labels)) != len(labels):
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
+            dupes = sorted(l for l, count in Counter(labels).items() if count > 1)
             raise ValueError(f"duplicate labels: {dupes}")
         if np.isnan(w).any():
             raise ValueError("weights must not be NaN")

@@ -23,8 +23,8 @@ from .errors import (
     SpectrumConsistencyError,
     TargetOutOfRangeError,
 )
-from .info import DEFAULT_BASE, EntropyValue, _SelfSpectrum
-from .means import _LogSupport
+from .info import DEFAULT_BASE, EntropyValue, _check_base
+from .means import _log_mean_slope, _log_moments, _LogSupport
 from .measures import MassMeasure
 
 __all__ = [
@@ -194,9 +194,22 @@ def sample_spectrum(
     ``entropy_derivative`` return at its order.  The returned table has
     already passed :meth:`SpectrumTable.validate`.
     """
-    spectrum = _SelfSpectrum(m, base)
-    rows = tuple(SpectrumRow(r, *spectrum.row(r)) for r in grid.orders())
-    table = SpectrumTable(rows, spectrum.base, m.total)
+    base = _check_base(base)
+    ln_b = math.log(base)
+    support = _LogSupport(m.weights, m.weights)
+    rows = []
+    for r in grid.orders():
+        if math.isinf(r):
+            entropy = EntropyValue(-_log_moments(support, r)[0] / ln_b, base, r)
+            rows.append(SpectrumRow(r, entropy, support.mean(r), None, None))
+            continue
+        log_mean, slope = _log_mean_slope(support, r)
+        with np.errstate(over="ignore"):
+            prob = float(np.exp(log_mean))
+            potential = 1.0 if r == 0.0 else float(np.exp(r * log_mean))
+        entropy = EntropyValue(-log_mean / ln_b, base, r)
+        rows.append(SpectrumRow(r, entropy, prob, potential, min(0.0, -slope / ln_b)))
+    table = SpectrumTable(tuple(rows), base, m.total)
     table.validate()
     return table
 

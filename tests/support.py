@@ -18,6 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
@@ -147,6 +148,40 @@ def reference_log_moments(weights, values, r, escort=False):
         return log_mean, None
     _, e, e_total = shifted(log_w + scaled)
     return log_mean, float(np.dot(e, log_x)) / e_total
+
+
+def reference_log_mean_slope(weights, values, r, digits=50):
+    """``(ln M_r, d ln M_r / dr)`` of the weighted power mean at a finite
+    order ``r``, to about ``digits`` significant digits, in stdlib
+    ``decimal`` arithmetic.
+
+    The floats are converted exactly and zero-weight entries dropped; every
+    other value must be positive and finite.  ``ln x`` is centred at its
+    ``w_hat``-mean ``mu`` (``d = ln x - mu``), so that with the centred
+    log-moment ``K(r) = ln sum w_hat * exp(r d)`` the slope is
+    ``(r K' - K) / r**2`` and ``ln M_r = mu + K / r``.  ``K`` is the log of
+    ``1 + O((r d)**2)``, which costs about ``-2 log10(|r| * spread)``
+    digits; that many guard digits are added to the working precision.
+    """
+    pairs = [(float(wi), float(xi)) for wi, xi in zip(weights, values) if wi > 0]
+    spread = math.log(max(x for _, x in pairs)) - math.log(min(x for _, x in pairs))
+    t = abs(float(r)) * spread
+    guard = 2 * max(0, math.ceil(-math.log10(t))) if t > 0 else 0
+    with localcontext() as ctx:
+        ctx.prec = digits + 10 + guard
+        total = sum(Decimal(wi) for wi, _ in pairs)
+        w_hat = [Decimal(wi) / total for wi, _ in pairs]
+        logs = [Decimal(xi).ln() for _, xi in pairs]
+        mu = sum(wh * lx for wh, lx in zip(w_hat, logs))
+        d = [lx - mu for lx in logs]
+        if r == 0.0:
+            return float(mu), float(sum(wh * di * di for wh, di in zip(w_hat, d)) / 2)
+        rd = Decimal(float(r))
+        e = [(rd * di).exp() for di in d]
+        s0 = sum(wh * ei for wh, ei in zip(w_hat, e))
+        s1 = sum(wh * di * ei for wh, di, ei in zip(w_hat, d, e))
+        k = s0.ln()
+        return float(mu + k / rd), float((rd * s1 / s0 - k) / (rd * rd))
 
 
 def reference_read_measure(path: str) -> MassMeasure:

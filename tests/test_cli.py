@@ -172,6 +172,16 @@ class TestSpectrumCommand:
         assert data[0][0] == "0.0"
         assert_allclose(float(data[0][1]), 2.5595380704534317, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "token, order",
+        [("inf", "inf"), ("+inf", "inf"), ("-Infinity", "-inf"), (" INF ", "inf"), ("1e-13", "0.0")],
+    )
+    def test_order_token_spellings(self, capsys, ucb_csv, token, order):
+        code, out, _ = run(capsys, ["spectrum", ucb_csv, "--orders", f"1,{token}"])
+        assert code == 0
+        _, data = parse_csv_table(out)
+        assert sorted({row[0] for row in data} - {"1.0"}) == [order]
+
     def test_range_orders(self, capsys, ucb_csv):
         code, out, _ = run(capsys, ["spectrum", ucb_csv, "--orders=-2:2:5"])
         assert code == 0

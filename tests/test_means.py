@@ -23,12 +23,15 @@ from srenyi.cli import main
 from srenyi.means import _log_moments, _LogSupport
 
 from support import (
+    UCB_COUNTS,
     KNFunctionPair,
     direct_power_mean,
     identity_pair,
     kn_mean,
     log_exp_pair,
     power_pair,
+    random_distribution,
+    reference_log_mean_slope,
     reference_log_moments,
 )
 
@@ -446,6 +449,51 @@ class TestMeanDerivative:
             power_mean_derivative([1, 1], [0.0, 2.0], 1.0)
         with pytest.raises(ValueError, match="values on the support must be positive and finite"):
             power_mean_derivative([1, 1], [INF, 2.0], 1.0)
+
+
+class TestSlopeAgainstDecimalOracle:
+    """``power_mean_derivative`` and ``entropy_derivative`` share one slope
+    ``d ln M_r / dr``; both match a 50-digit ``decimal`` reference to 1e-9
+    relative, through the r -> 0 seam and at ordinary orders."""
+
+    SEAM = [s * 10.0**k for k in range(-15, -1) for s in (1.0, -1.0)]
+    ORDINARY = [-3.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0]
+
+    @staticmethod
+    def mean_supports(rng):
+        yield (1.0, 2.0, 3.0), (0.5, 2.0, 7.0)
+        yield UCB_COUNTS, UCB_COUNTS
+        for _ in range(4):
+            n = int(rng.integers(2, 9))
+            yield rng.uniform(0.1, 1.0, n), rng.uniform(0.2, 5.0, n)
+
+    def test_power_mean_derivative(self, rng):
+        for w, x in self.mean_supports(rng):
+            for r in self.SEAM + self.ORDINARY:
+                log_mean, slope = reference_log_mean_slope(w, x, r)
+                want = math.exp(log_mean) * slope
+                assert_allclose(power_mean_derivative(w, x, r), want, rtol=1e-9, atol=0)
+
+    def test_entropy_derivative(self, rng, ucb_counts):
+        measures = [ucb_counts] + [random_distribution(rng) for _ in range(4)]
+        for m in measures:
+            for r in self.SEAM + self.ORDINARY + [0.0]:
+                want = -reference_log_mean_slope(m.weights, m.weights, r)[1] / math.log(2.0)
+                assert_allclose(srenyi.entropy_derivative(m, r), want, rtol=1e-9, atol=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the closed form (escort mean - ln M_r) / r "
+        "cancels on a tiny-mass outlier",
+    )
+    def test_tiny_mass_outlier(self):
+        # the probabilities, not the raw weights: ln p ~ -6.9 on the 1000
+        # equal entries is what the two logs of the closed form share
+        w = np.array([1.0] * 1000 + [1e-12])
+        p = w / w.sum()
+        log_mean, slope = reference_log_mean_slope(p, p, 1e-3)
+        want = math.exp(log_mean) * slope
+        assert_allclose(power_mean_derivative(p, p, 1e-3), want, rtol=1e-9, atol=0)
 
 
 def _bits(values):

@@ -1,6 +1,7 @@
 """Labeled measures: construction, normalization, ratios, alignment."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ class TestConstruction:
             from_counts(("a", "b"), (1, -2))
         with pytest.raises(ValueError, match="counts must be integers"):
             from_counts(("a", "b"), (1, 1.5))
+
+    def test_duplicate_labels_are_found_in_one_pass(self):
+        labels = [f"x{i}" for i in range(30_000)]
+        labels[-1] = "x0"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^duplicate labels: \['x0'\]$"):
+            MassMeasure(tuple(labels), np.ones(len(labels)))
+        assert time.perf_counter() - start < 2.0
 
     def test_measure_rejections(self):
         with pytest.raises(ValueError, match="weights must not be NaN"):
