@@ -44,7 +44,7 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import _divergence_support, equivalent_probability
-from .means import _log_moments, _LogSupport
+from .means import _LogSupport
 from .measures import MassMeasure, normalize
 from .spectrum import (
     OrderGrid,
@@ -355,14 +355,14 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     # labels are aligned once; each order is one kernel call on the support
     support = _divergence_support(p, q)
     header = ["order", "divergence"]
-    rows = [(r, _log_moments(support, r)[0] / ln_b) for r in grid.orders()]
+    rows = [(r, support.log_mean(r) / ln_b) for r in grid.orders()]
     if uniform:
         check_const = math.log(n_support) / ln_b - math.log(q.total) / ln_b
         header.append("uniform_check")
         # check_const - H_r(p), with H_r(p) = -ln M_r(p_hat, p) / ln b
         own = _LogSupport(p.weights, p.weights)
         rows = [
-            (r, div, check_const + _log_moments(own, r)[0] / ln_b)
+            (r, div, check_const + own.log_mean(r) / ln_b)
             for r, div in rows
         ]
     meta = {"base": base, "uniform_reference": uniform}
@@ -439,7 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="recover every distinct probability of the normalized measure",
     )
-    p_inv.add_argument("--tol", type=float, default=1e-9)
+    p_inv.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="relative tolerance on the attained probability (default: %(default)s)",
+    )
     p_inv.add_argument("--format", choices=("csv", "json"), default="csv")
     p_inv.set_defaults(func=cmd_invert)
     return parser

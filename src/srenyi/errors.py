@@ -43,7 +43,23 @@ class TargetOutOfRangeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative search exhausted its iteration budget."""
+    """An iterative search exhausted its iteration budget.
+
+    ``target`` is the value that was not reached, ``order`` the last iterate
+    and ``residual`` its relative miss, ``value at order / target - 1``.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        target: float | None = None,
+        order: float | None = None,
+        residual: float | None = None,
+    ):
+        super().__init__(message)
+        self.target = target
+        self.order = order
+        self.residual = residual
 
 
 class SpectrumConsistencyError(ArithmeticError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .means import _check_order, _log_mean_slope, _log_moments, _LogSupport
+from .means import _check_order, _log_mean_slope, _LogSupport
 from .measures import MassMeasure, _aligned_ratio, aligned_weights
 
 __all__ = [
@@ -70,7 +70,7 @@ def shifted_entropy(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> Ent
     """Shifted Renyi entropy ``-log_b M_r(w_hat, w)`` of a mass measure."""
     base = _check_base(base)
     r = _check_order(r)
-    nat = -_log_moments(_LogSupport(m.weights, m.weights), r)[0]
+    nat = -_LogSupport(m.weights, m.weights).log_mean(r)
     return EntropyValue(nat / math.log(base), base, r)
 
 
@@ -85,7 +85,7 @@ def shifted_divergence(
     """
     base = _check_base(base)
     r = _check_order(r)
-    nat = _log_moments(_divergence_support(p, q), r)[0]
+    nat = _divergence_support(p, q).log_mean(r)
     return EntropyValue(nat / math.log(base), base, r)
 
 
@@ -109,7 +109,7 @@ def shifted_cross_entropy(
     base = _check_base(base)
     r = _check_order(r)
     _, pw, qw = aligned_weights(p, q)
-    nat = -_log_moments(_LogSupport(pw, qw), r)[0]
+    nat = -_LogSupport(pw, qw).log_mean(r)
     return EntropyValue(nat / math.log(base), base, r)
 
 
@@ -148,7 +148,7 @@ def information_potential(m: MassMeasure, r: float) -> float:
     if r == 0.0:
         return 1.0
     with np.errstate(over="ignore"):
-        return float(np.exp(r * _log_moments(_LogSupport(m.weights, m.weights), r)[0]))
+        return float(np.exp(r * _LogSupport(m.weights, m.weights).log_mean(r)))
 
 
 def entropy_derivative(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> float:
@@ -169,4 +169,5 @@ def entropy_derivative(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> 
     if math.isinf(r):
         raise ValueError("the spectrum derivative needs a finite order")
     ln_b = math.log(_check_base(base))
-    return min(0.0, -_log_mean_slope(_LogSupport(m.weights, m.weights), r)[1] / ln_b)
+    _, slope = _log_mean_slope(_LogSupport(m.weights, m.weights), (r,))
+    return min(0.0, -float(slope[0]) / ln_b)

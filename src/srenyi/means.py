@@ -73,21 +73,31 @@ def _check_order(r: float) -> float:
     return r
 
 
-def _shifted_exp_in_place(a: np.ndarray) -> tuple[float, np.ndarray | None, float]:
-    """One max-shifted exponential pass, in place: ``top = max(a)``, then
-    ``a`` is overwritten with ``e = exp(a - top)``, and ``total = sum(e)``.
+# Largest (orders x values) array one kernel pass fills; from n = 2**16
+# values on, every order has a pass of its own.  Of 2**12 to 2**20, 2**16
+# evaluated the default grid fastest at n = 200 to 6 * 10**4 (one core).
+_PASS_ELEMENTS = 2**16
 
-    ``ln(sum(exp(a))) = top + ln(total)`` then holds with no term able to
-    overflow, and ``e / total`` are the normalized weights ``exp(a) / sum``.
-    An infinite ``top`` leaves nothing to shift: ``(top, None, 1.0)`` comes
-    back, which keeps ``top + ln(total) = top``, and ``a`` is untouched.
+
+def _shifted_exp_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One max-shifted exponential pass over each row of ``a``, in place:
+    ``top = max`` of the row, the row is overwritten with
+    ``e = exp(row - top)``, and ``total = sum(e)``.
+
+    ``ln(sum(exp(row))) = top + ln(total)`` then holds with no term able to
+    overflow, and ``e / total`` are the normalized weights ``exp(row) / sum``.
+    An infinite ``top`` leaves nothing to shift: an all ``-inf`` row has
+    ``total = 0``, and a row holding ``+inf`` is zeroed, which keeps
+    ``top + ln(total) = +inf`` without an overflow.
     """
-    top = float(a.max())
-    if math.isinf(top):
-        return top, None, 1.0
-    a -= top
-    e = np.exp(a, out=a)
-    return top, e, float(e.sum())
+    top = a.max(axis=1)
+    shift = top
+    if not np.isfinite(top).all():
+        a[top == math.inf] = 0.0
+        shift = np.where(np.isinf(top), 0.0, top)
+    a -= shift[:, None]
+    np.exp(a, out=a)
+    return top, a.sum(axis=1)
 
 
 class _LogSupport:
@@ -123,13 +133,17 @@ class _LogSupport:
         self.spread = hi - lo
         self._cumulants = None
 
+    def log_mean(self, r: float) -> float:
+        """``ln M_r`` at one order: the one-order case of the kernel."""
+        return float(_log_moments(self, (r,))[0][0])
+
     def mean(self, r: float) -> float:
         """``M_r``: the exact max / min value at ``r = +-inf`` (not
         round-tripped through logs), ``exp(ln M_r)`` at every other order."""
         if math.isinf(r):
             return float(self.values.max() if r > 0 else self.values.min())
         with np.errstate(over="ignore"):
-            return float(np.exp(_log_moments(self, r)[0]))
+            return float(np.exp(self.log_mean(r)))
 
     def cumulants(self) -> tuple[float, float, float]:
         """The second to fourth cumulants of ``ln x`` under ``w_hat``,
@@ -146,59 +160,105 @@ class _LogSupport:
             )
         return self._cumulants
 
-    def escort_terms(self, r: float) -> np.ndarray:
-        """``ln w_hat + r * ln x``, the log escort weights before
-        normalization, in one fresh array that the caller may overwrite."""
-        a = np.multiply(self.log_x, r)
-        a += self.log_w
-        return a
+
+def _row_dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` as one dot product per row: a stacked matmul, so that each
+    row is bitwise what ``np.dot(row, v)`` gives, whatever rows share the
+    call (a matrix-vector product may round them differently)."""
+    return np.matmul(a[:, None, :], v)[:, 0]
 
 
-def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float, float | None]:
-    """``ln M_r`` of a log-support and, when ``escort`` is set, the escort
-    log mean ``E_rho[ln x]`` with ``rho_i ~ w_i * x_i**r``.
+def _passes(idx: list[int], n: int) -> list[list[int]]:
+    """``idx`` in chunks of at most ``_PASS_ELEMENTS`` (orders x ``n``
+    values), and at least one order each."""
+    k = max(1, _PASS_ELEMENTS // n)
+    return [idx[i:i + k] for i in range(0, len(idx), k)]
+
+
+def _log_sum_exp_pass(
+    s: _LogSupport, r: np.ndarray, escort: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``ln M_r = (top + ln(total)) / r`` at the orders ``r`` from one
+    shifted exponential pass over the log escort weights
+    ``ln w_hat + r * ln x``, one row per order, and the escort mean from
+    the same pass.  The array dies on return, before the next pass
+    allocates one, which keeps large-n passes in cache."""
+    a = np.multiply.outer(r, s.log_x)
+    a += s.log_w
+    top, total = _shifted_exp_rows(a)
+    # math.log, not np.log: numpy's vectorized log may differ in the last bit
+    log_mean = (top + [math.log(t) for t in total.tolist()]) / r
+    return log_mean, _row_dots(a, s.log_x) / total if escort else None
+
+
+def _expm1_pass(s: _LogSupport, r: np.ndarray) -> np.ndarray:
+    """``ln M_r`` at near-zero orders ``r``, as
+    ``log1p(sum w_hat * expm1(r ln x)) / r``; expm1(-inf) = -1 and
+    expm1(inf) = inf keep the zero/inf value conventions intact."""
+    terms = np.multiply.outer(r, s.log_x)
+    np.expm1(terms, out=terms)
+    terms *= s.norm_w
+    excess = terms.sum(axis=1)
+    # log1p(-1) = -inf, and at a subnormal r the division can overflow
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.log1p(np.maximum(excess, -1.0)) / r
+
+
+def _log_moments(
+    s: _LogSupport, orders: Sequence[float] | np.ndarray, escort: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``ln M_r`` of a log-support at every order of ``orders`` and, when
+    ``escort`` is set, the escort log mean ``E_rho[ln x]`` with
+    ``rho_i ~ w_i * x_i**r``.
 
     This is the one kernel behind every mean, entropy and spectrum column;
     :func:`log_power_mean` documents the branches and conventions.  The
-    escort mean reuses the exponential pass of the log-sum-exp branch; it
-    needs every value positive and finite and is None when not asked for.
+    log-sum-exp and expm1 orders are evaluated in (orders x values) passes
+    of at most ``_PASS_ELEMENTS``, and every value is bitwise what a
+    one-order call gives.  The escort needs every value positive and
+    finite; it is NaN at ``+-inf``, at ``r = 0`` and in the subnormal
+    series, where :func:`_log_mean_slope` never asks for it.
     """
+    rs = np.array(orders, dtype=float, ndmin=1)
     log_x = s.log_x
-    if math.isinf(r):
-        return float(log_x.max() if r > 0 else log_x.min()), None
-    if r == 0.0:
-        if np.isneginf(log_x).any() and np.isposinf(log_x).any():
+    log_mean = np.empty(rs.size)
+    escort_mean = np.full(rs.size, math.nan) if escort else None
+    zero, series, lse, near = [], [], [], []
+    for i, r in enumerate(rs.tolist()):
+        if math.isinf(r):
+            log_mean[i] = log_x.max() if r > 0 else log_x.min()
+        elif r == 0.0:
+            zero.append(i)
+        elif abs(r) * s.scale > 1.0:
+            lse.append(i)
+        elif s.finite and abs(r) * s.scale < 1e-300:
+            series.append(i)
+        else:
+            near.append(i)
+    if zero or series:
+        if zero and np.isneginf(log_x).any() and np.isposinf(log_x).any():
             raise DiscontinuityError(
                 "order-0 mean is undefined: values contain both 0 and inf"
             )
         # elementwise product, not dot: BLAS is not guaranteed to propagate
         # the -inf from log(0) correctly
         geo = float(np.sum(s.norm_w * log_x))
-        return geo, geo if escort else None
-    if abs(r) * s.scale > 1.0:
-        top, e, total = _shifted_exp_in_place(s.escort_terms(r))
-        log_mean = (top + math.log(total)) / r
-        return log_mean, float(np.dot(e, log_x)) / total if escort else None
-    if s.finite and abs(r) * s.scale < 1e-300:
-        # r*log(x) underflows into subnormals, where the product itself
-        # cannot be trusted; expand around the geometric mean instead, with
-        # an O(r^2) truncation error that is unobservable in this regime
-        geo = float(np.sum(s.norm_w * log_x))
-        var = float(np.sum(s.norm_w * (log_x - geo) ** 2))
-        return geo + 0.5 * r * var, geo + r * var if escort else None
-    # near-zero-order regime; expm1(-inf) = -1 and expm1(inf) = inf keep the
-    # zero/inf value conventions intact
-    terms = np.multiply(log_x, r)
-    np.expm1(terms, out=terms)
-    terms *= s.norm_w
-    excess = float(terms.sum())
-    # log1p(-1) = -inf, and at a subnormal r the division can overflow
-    with np.errstate(divide="ignore", over="ignore"):
-        log_mean = float(np.log1p(max(excess, -1.0)) / r)
-    if not escort:
-        return log_mean, None
-    _, e, total = _shifted_exp_in_place(s.escort_terms(r))
-    return log_mean, float(np.dot(e, log_x)) / total
+        log_mean[zero] = geo
+        if series:
+            # r*log(x) underflows into subnormals, where the product itself
+            # cannot be trusted; expand around the geometric mean instead,
+            # with an O(r^2) truncation error that is unobservable here
+            var = float(np.sum(s.norm_w * (log_x - geo) ** 2))
+            log_mean[series] = geo + 0.5 * rs[series] * var
+    for idx in _passes(lse, log_x.size):
+        log_mean[idx], escort_here = _log_sum_exp_pass(s, rs[idx], escort)
+        if escort:
+            escort_mean[idx] = escort_here
+    for idx in _passes(near, log_x.size):
+        log_mean[idx] = _expm1_pass(s, rs[idx])
+        if escort:
+            escort_mean[idx] = _log_sum_exp_pass(s, rs[idx], escort=True)[1]
+    return log_mean, escort_mean
 
 
 # Up to this |r| * spread the slope comes from its Taylor series at r = 0,
@@ -208,9 +268,11 @@ def _log_moments(s: _LogSupport, r: float, escort: bool = False) -> tuple[float,
 SLOPE_SERIES_RADIUS = 1e-3
 
 
-def _log_mean_slope(s: _LogSupport, r: float) -> tuple[float, float]:
-    """``(ln M_r, d ln M_r / dr)`` at a finite order ``r``; every value on
-    the support must be positive and finite.
+def _log_mean_slope(
+    s: _LogSupport, orders: Sequence[float] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ln M_r, d ln M_r / dr)`` at every order of ``orders``, all finite;
+    every value on the support must be positive and finite.
 
     With ``K(r) = r ln M_r = ln sum w_hat * x**r`` the log-moment, the slope
     is ``(r K' - K) / r**2``, and ``K' = E_rho[ln x]`` under the escort
@@ -220,15 +282,28 @@ def _log_mean_slope(s: _LogSupport, r: float) -> tuple[float, float]:
     ``|r| * spread <= SLOPE_SERIES_RADIUS`` its Taylor series in the
     cumulants ``k_n`` of ``ln x`` under ``w_hat`` is used instead,
     ``k_2/2 + r k_3/3 + r**2 k_4/8``, which at ``r = 0`` is the exact
-    ``Var(ln x) / 2``.  Every slope in the library comes from here: the
-    spectrum column, :func:`srenyi.info.entropy_derivative` and
-    :func:`power_mean_derivative`.
+    ``Var(ln x) / 2``, and the kernel is not asked for the escort there.
+    Every slope in the library comes from here: the spectrum column,
+    :func:`srenyi.info.entropy_derivative`, :func:`power_mean_derivative`
+    and the Newton steps of spectrum inversion.
     """
-    if abs(r) * s.spread <= SLOPE_SERIES_RADIUS:
+    rs = np.array(orders, dtype=float, ndmin=1)
+    near, far = [], []
+    for i, r in enumerate(rs.tolist()):
+        (near if abs(r) * s.spread <= SLOPE_SERIES_RADIUS else far).append(i)
+    log_mean, slope = np.empty(rs.size), np.empty(rs.size)
+    if near:
         k2, k3, k4 = s.cumulants()
-        return _log_moments(s, r)[0], 0.5 * k2 + r * k3 / 3.0 + r * r * k4 / 8.0
-    log_mean, escort_mean = _log_moments(s, r, escort=True)
-    return log_mean, max((escort_mean - log_mean) / r, 0.0)
+        r = rs[near]
+        log_mean[near] = _log_moments(s, r)[0]
+        slope[near] = 0.5 * k2 + r * k3 / 3.0 + r * r * k4 / 8.0
+    if far:
+        r = rs[far]
+        far_mean, escort_mean = _log_moments(s, r, escort=True)
+        log_mean[far] = far_mean
+        far_slope = (escort_mean - far_mean) / r
+        slope[far] = np.where(far_slope < 0.0, 0.0, far_slope)
+    return log_mean, slope
 
 
 def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
@@ -252,8 +327,7 @@ def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     ``log1p(sum w_i*expm1(r*log(x_i)))/r``, whose error stays bounded all
     the way into the geometric limit.
     """
-    s = _LogSupport(*_as_weight_value_arrays(weights, values))
-    return _log_moments(s, _check_order(r))[0]
+    return _LogSupport(*_as_weight_value_arrays(weights, values)).log_mean(_check_order(r))
 
 
 def power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
@@ -298,10 +372,10 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
             f"escort weight diverges at order {r}: "
             "a value is 0 with r < 0, or inf with r > 0"
         )
-    _, e, total = _shifted_exp_in_place(log_terms)
-    if e is None:
+    _, total = _shifted_exp_rows(log_terms[None, :])
+    if total[0] == 0.0:
         raise ValueError("all escort weights are zero")
-    out[mask] = e / total
+    out[mask] = log_terms / total[0]
     return out
 
 
@@ -322,5 +396,5 @@ def power_mean_derivative(weights: ArrayLike, values: ArrayLike, r: float) -> fl
         raise ValueError("the escort derivative formula needs a finite nonzero order")
     if not s.finite:
         raise ValueError("values on the support must be positive and finite")
-    log_mean, slope = _log_mean_slope(s, r)
-    return float(np.exp(log_mean) * slope)
+    log_mean, slope = _log_mean_slope(s, (r,))
+    return float(np.exp(log_mean[0]) * slope[0])

@@ -3,11 +3,12 @@
 A spectrum is the map ``r -> H_r(m)`` sampled on an :class:`OrderGrid`.
 Because the equivalent probability ``pi_r = b**(-H_r)`` is continuous and
 non-decreasing from ``min p`` (at ``r = -inf``) to ``max p`` (at
-``r = +inf``), the map can be inverted by bisection: given an attainable
-probability, :func:`invert_probability` finds an order that realizes it,
-and :func:`recover_distribution_probe` does so for every distinct value of
-a distribution, recovering the distribution without ever reading a single
-component directly.
+``r = +inf``), the map can be inverted: given an attainable probability,
+:func:`invert_probability` finds an order that realizes it to a relative
+tolerance, by safeguarded Newton steps on ``ln pi_r`` whose slope is the
+spectrum's own, and :func:`recover_distribution_probe` does so for every
+distinct value of a distribution at once, recovering the distribution
+without ever reading a single component directly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import DEFAULT_BASE, EntropyValue, _check_base
-from .means import _log_mean_slope, _log_moments, _LogSupport
+from .means import _log_mean_slope, _LogSupport
 from .measures import MassMeasure
 
 __all__ = [
@@ -189,21 +190,24 @@ def sample_spectrum(
 
     Potential and slope are None on the +-inf rows, where they are not
     defined.  The measure is trusted as built and its logs are taken once;
-    each row then costs one kernel pass and equals what ``shifted_entropy``,
-    ``equivalent_probability``, ``information_potential`` and
-    ``entropy_derivative`` return at its order.  The returned table has
-    already passed :meth:`SpectrumTable.validate`.
+    one kernel call then evaluates every finite order, and each row equals
+    what ``shifted_entropy``, ``equivalent_probability``,
+    ``information_potential`` and ``entropy_derivative`` return at its
+    order.  The returned table has already passed
+    :meth:`SpectrumTable.validate`.
     """
     base = _check_base(base)
     ln_b = math.log(base)
     support = _LogSupport(m.weights, m.weights)
+    log_means, slopes = _log_mean_slope(support, grid.finite_orders)
+    finite = zip(log_means.tolist(), slopes.tolist())
     rows = []
     for r in grid.orders():
         if math.isinf(r):
-            entropy = EntropyValue(-_log_moments(support, r)[0] / ln_b, base, r)
+            entropy = EntropyValue(-support.log_mean(r) / ln_b, base, r)
             rows.append(SpectrumRow(r, entropy, support.mean(r), None, None))
             continue
-        log_mean, slope = _log_mean_slope(support, r)
+        log_mean, slope = next(finite)
         with np.errstate(over="ignore"):
             prob = float(np.exp(log_mean))
             potential = 1.0 if r == 0.0 else float(np.exp(r * log_mean))
@@ -220,67 +224,120 @@ def invert_probability(
     search_bound: float = 1.0,
     tol: float = 1e-10,
 ) -> float:
-    """Find an order ``r`` with ``pi_r(normalize(m)) = target_p`` within
-    ``tol``, or +-inf when the target sits at the extreme weights.
+    """Find an order ``r`` whose equivalent probability ``pi_r(normalize(m))``
+    is ``target_p`` within the relative tolerance ``tol``, or +-inf when the
+    target sits at the extreme weights.
 
     The unnormalized measure is normalized first, so ``target_p`` is always
     a probability in ``[min p, max p]`` of the normalized weights; anything
-    outside (beyond ``tol``) raises :class:`TargetOutOfRangeError`.  Flat
-    stretches of the spectrum (e.g. uniform distributions, where every order
-    works) resolve to the smallest-magnitude answer, preferring 0.  The
-    bracket doubles outward from ``search_bound`` and gives up at 1e6,
-    returning the corresponding infinity; bisection inside the bracket
-    raises :class:`ConvergenceError` after 200 iterations.
+    outside (by more than ``tol`` relative) raises
+    :class:`TargetOutOfRangeError`.  A target that ``pi_0`` already meets
+    gives 0, so flat spectra (uniform distributions, where every order
+    works) resolve to 0; a target within ``tol`` of ``min p`` / ``max p``
+    gives -inf / +inf.  Otherwise safeguarded Newton steps on
+    ``ln pi_r = ln target_p`` run inside a bracket that doubles outward from
+    ``search_bound``; a bracket that would pass 1e6 gives the corresponding
+    infinity.  :class:`ConvergenceError` is raised after 200 steps, or
+    sooner once an iterate stops moving short of ``tol``.
     """
     p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
-    return _invert(_LogSupport(p, p), target_p, search_bound, tol)
+    orders, _ = _invert(_LogSupport(p, p), (target_p,), search_bound, tol)
+    return float(orders[0])
 
 
 def _invert(
-    support: _LogSupport, target_p: float, search_bound: float, tol: float
-) -> float:
-    """:func:`invert_probability` on the log-support of a distribution
-    against itself, whose ``mean(r)`` is the equivalent probability."""
+    support: _LogSupport, targets: Iterable[float], search_bound: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`invert_probability` for every target at once, on the
+    log-support of a distribution against itself, whose ``mean(r)`` is the
+    equivalent probability: ``(orders, support.mean(orders))``.
+
+    Every pass is one kernel call over the orders of the targets still
+    open, each of which then takes a Newton step in ``d ln pi_r / dr``
+    (the spectrum slope) from its iterate, or, when that step leaves its
+    bracket, bisects it.  A bracket end that has not yet been evaluated is
+    at ``+-search_bound``, doubled each time an evaluation there falls short;
+    the first step is the Newton step from ``r = 0``, whose slope is
+    ``Var(ln p) / 2``.  A target leaves once ``|pi_r / target - 1| <= tol``.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not search_bound > 0:
         raise ValueError("search_bound must be positive")
-    target = float(target_p)
-    if math.isnan(target):
+    t = np.array(targets, dtype=float, ndmin=1)
+    if np.isnan(t).any():
         raise ValueError("target probability must not be NaN")
     p_min, p_max = float(support.values.min()), float(support.values.max())
-    if target < p_min - tol or target > p_max + tol:
+    outside = (t < p_min * (1.0 - tol)) | (t > p_max * (1.0 + tol))
+    if outside.any():
         raise TargetOutOfRangeError(
-            f"target {target} outside the attainable range [{p_min}, {p_max}]"
+            f"target {float(t[outside][0])} outside the attainable range [{p_min}, {p_max}]"
         )
-    pi = support.mean
-    if abs(pi(0.0) - target) <= tol:
-        return 0.0
-    if target >= p_max - tol:
-        return math.inf
-    if target <= p_min + tol:
-        return -math.inf
-    lo, hi = -search_bound, search_bound
-    while pi(hi) < target:
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            return math.inf
-    while pi(lo) > target:
-        lo *= 2.0
-        if lo < -BRACKET_CAP:
-            return -math.inf
-    for _ in range(MAX_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        val = pi(mid)
-        if abs(val - target) <= tol:
-            return mid
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not reach tol={tol} in {MAX_BISECT_ITERATIONS} iterations"
-    )
+    (log_pi0,), (slope0,) = _log_mean_slope(support, (0.0,))
+    with np.errstate(divide="ignore"):
+        log_t = np.log(t)
+    orders = np.zeros(t.size)
+    log_pi = np.full(t.size, log_pi0)
+    at_zero = np.abs(np.expm1(log_pi0 - log_t)) <= tol
+    orders[~at_zero & (t >= p_max * (1.0 - tol))] = math.inf
+    orders[~at_zero & (t <= p_min * (1.0 + tol))] = -math.inf
+    idx = np.flatnonzero(~at_zero & np.isfinite(orders))
+    log_t = log_t[idx]
+    below = log_pi0 < log_t  # the root lies at r > 0
+    lo = np.where(below, 0.0, -search_bound)
+    hi = np.where(below, search_bound, 0.0)
+    lo_known, hi_known = below, ~below
+    r = np.clip((log_t - log_pi0) / slope0, lo, hi)
+    r_last, miss = np.zeros(idx.size), np.expm1(log_pi0 - log_t)  # pi_0 so far
+    steps = 0
+    while idx.size and steps < MAX_BISECT_ITERATIONS:
+        steps += 1
+        lp, slope = _log_mean_slope(support, r)
+        f = lp - log_t
+        miss = np.expm1(f)
+        below = f < 0.0
+        grow_hi = below & ~hi_known & (r >= hi)
+        grow_lo = ~below & ~lo_known & (r <= lo)
+        lo = np.where(below, r, np.where(grow_lo, 2.0 * lo, lo))
+        hi = np.where(below, np.where(grow_hi, 2.0 * hi, hi), r)
+        lo_known, hi_known = lo_known | below, hi_known | ~below
+        # the Newton step where it stays inside the bracket; past an end
+        # not evaluated yet, that end; otherwise the midpoint
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = r - f / slope
+        r_next = np.where(~hi_known & (step >= hi), hi, 0.5 * (lo + hi))
+        r_next = np.where(~lo_known & (step <= lo), lo, r_next)
+        r_next = np.where((lo < step) & (step < hi), step, r_next)
+        done = np.abs(miss) <= tol
+        orders[idx[done]] = r[done]
+        log_pi[idx[done]] = lp[done]
+        past_hi = ~done & grow_hi & (hi > BRACKET_CAP)
+        past_lo = ~done & grow_lo & (lo < -BRACKET_CAP)
+        orders[idx[past_hi]] = math.inf
+        orders[idx[past_lo]] = -math.inf
+        keep = ~(done | past_hi | past_lo)
+        idx, log_t, lo, hi = idx[keep], log_t[keep], lo[keep], hi[keep]
+        lo_known, hi_known, r_last, miss = lo_known[keep], hi_known[keep], r[keep], miss[keep]
+        r = r_next[keep]
+        stuck = r == r_last  # it would repeat at every later step
+        if stuck.any():
+            idx, r_last, miss = idx[stuck], r_last[stuck], miss[stuck]
+            break
+    if idx.size:
+        worst = int(np.argmax(np.abs(miss)))
+        target, order, residual = float(t[idx[worst]]), float(r_last[worst]), float(miss[worst])
+        raise ConvergenceError(
+            f"target {target!r} not reached to tol={tol} in {steps} steps: "
+            f"order {order!r} misses it by {residual!r} (relative)",
+            target=target,
+            order=order,
+            residual=residual,
+        )
+    with np.errstate(over="ignore"):
+        probs = np.exp(log_pi)
+    probs[orders == math.inf] = p_max
+    probs[orders == -math.inf] = p_min
+    return orders, probs
 
 
 def recover_distribution_probe(
@@ -294,16 +351,17 @@ def recover_distribution_probe(
     with commas after sorting.  ``probability`` is the equivalent
     probability attained at the recovered order, so the multiset of third
     components reproduces the distinct weights of the distribution within
-    ``tol``.
+    ``tol`` relative.  All values are inverted together, as in
+    :func:`invert_probability`, with one kernel call per Newton step.
     """
     p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
-    support = _LogSupport(p, p)
     by_value: dict[float, list[str]] = {}
     for label, weight in zip(m.labels, p.tolist()):
         if weight > 0:
             by_value.setdefault(weight, []).append(label)
-    rows = []
-    for value in sorted(by_value):
-        order = _invert(support, value, 1.0, tol)
-        rows.append((",".join(sorted(by_value[value])), order, support.mean(order)))
-    return rows
+    values = sorted(by_value)
+    orders, probs = _invert(_LogSupport(p, p), values, 1.0, tol)
+    return [
+        (",".join(sorted(by_value[v])), order, prob)
+        for v, order, prob in zip(values, orders.tolist(), probs.tolist())
+    ]

@@ -105,10 +105,12 @@ def kl_divergence(p_dist, q_dist, base=2.0) -> float:
 
 
 def reference_log_moments(weights, values, r, escort=False):
-    """``(ln M_r, E_rho[ln x] or None)`` by the textbook out-of-place
-    formulas: a max-shifted ``exp(a - top)`` for the log-sum-exp branch,
-    ``sum(w_hat * expm1(r ln x))`` near order zero, with the same branch
-    thresholds as the library kernel.  Every temporary is a fresh array."""
+    """``(ln M_r, E_rho[ln x] or None)`` at one order by the textbook
+    out-of-place formulas: a max-shifted ``exp(a - top)`` for the
+    log-sum-exp branch, ``sum(w_hat * expm1(r ln x))`` near order zero, with
+    the same branch thresholds as the library kernel.  The escort comes from
+    the shifted exponential pass and is None at +-inf, at ``r = 0`` and in
+    the subnormal series.  Every temporary is a fresh array."""
     w = np.asarray(weights, dtype=float)
     x = np.asarray(values, dtype=float)
     w, x = w[w > 0], x[w > 0]
@@ -130,8 +132,7 @@ def reference_log_moments(weights, values, r, escort=False):
     if math.isinf(r):
         return float(log_x.max() if r > 0 else log_x.min()), None
     if r == 0.0:
-        geo = float(np.sum(norm_w * log_x))
-        return geo, geo if escort else None
+        return float(np.sum(norm_w * log_x)), None
     scaled = r * log_x
     if abs(r) * scale > 1.0:
         top, e, e_total = shifted(log_w + scaled)
@@ -140,7 +141,7 @@ def reference_log_moments(weights, values, r, escort=False):
     if finite.all() and abs(r) * scale < 1e-300:
         geo = float(np.sum(norm_w * log_x))
         var = float(np.sum(norm_w * (log_x - geo) ** 2))
-        return geo + 0.5 * r * var, geo + r * var if escort else None
+        return geo + 0.5 * r * var, None
     excess = float(np.sum(norm_w * np.expm1(scaled)))
     with np.errstate(divide="ignore"):
         log_mean = float(np.log1p(max(excess, -1.0)) / r)

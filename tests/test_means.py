@@ -14,13 +14,14 @@ import srenyi
 from srenyi import (
     DiscontinuityError,
     DivergentEscortError,
+    OrderGrid,
     escort_distribution,
     log_power_mean,
     power_mean,
     power_mean_derivative,
 )
 from srenyi.cli import main
-from srenyi.means import _log_moments, _LogSupport
+from srenyi.means import SLOPE_SERIES_RADIUS, _log_moments, _LogSupport
 
 from support import (
     UCB_COUNTS,
@@ -504,7 +505,9 @@ def _bits(values):
 class TestKernelIsTheOutOfPlaceFormula:
     """The in-place kernel is bitwise the textbook out-of-place formulas,
     on every branch: +-inf, geometric, subnormal series, expm1 and
-    log-sum-exp, including the +-1e-300 orders and the +-50 grid ends."""
+    log-sum-exp, including the +-1e-300 orders and the +-50 grid ends.  The
+    escort is compared where :func:`_log_mean_slope` asks for it, outside
+    its series band."""
 
     ORDERS = (
         -INF, -50.0, -7.5, -1.0, -0.3, -1e-3, -1e-9, -1e-300, -1e-310,
@@ -521,16 +524,24 @@ class TestKernelIsTheOutOfPlaceFormula:
             yield w, 1.0 + rng.uniform(0.0, 1e-3, n)  # expm1 up to |r| = 50
             yield w * 1e-300, rng.uniform(0.0, 1.0, n)  # tiny weights
 
+    @staticmethod
+    def one_order(support, r, escort=False):
+        log_mean, escort_mean = _log_moments(support, (r,), escort)
+        return log_mean[0], None if escort_mean is None else escort_mean[0]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_supports(self, seed):
         rng = np.random.default_rng(seed)
         for w, x in self.supports(rng):
             support = _LogSupport(w, x)
             for r in self.ORDERS:
-                for escort in (False, True):
-                    assert _bits(_log_moments(support, r, escort)) == _bits(
-                        reference_log_moments(w, x, r, escort)
-                    ), (w.size, r, escort)
+                assert _bits(self.one_order(support, r)) == _bits(
+                    reference_log_moments(w, x, r)
+                ), (w.size, r)
+                if math.isfinite(r) and abs(r) * support.spread > SLOPE_SERIES_RADIUS:
+                    assert _bits(self.one_order(support, r, escort=True)) == _bits(
+                        reference_log_moments(w, x, r, escort=True)
+                    ), (w.size, r)
 
     def test_zero_and_infinite_values(self):
         w = np.array([0.5, 0.25, 0.25, 0.0])
@@ -541,8 +552,22 @@ class TestKernelIsTheOutOfPlaceFormula:
                     continue
                 # log1p(-1) / 1e-310 overflows to -inf on both routes
                 with np.errstate(over="ignore"):
-                    got, want = _log_moments(support, r), reference_log_moments(w, x, r)
+                    got, want = self.one_order(support, r), reference_log_moments(w, x, r)
                 assert _bits(got) == _bits(want), (x, r)
+
+    @pytest.mark.parametrize("n", [6, 200, 10**5])
+    def test_many_orders_per_call(self, n):
+        """One call over the whole default grid gives every ``ln M_r`` and
+        every escort bitwise as one-order calls do."""
+        rng = np.random.default_rng(n)
+        p = rng.random(n)
+        p /= p.sum()
+        support = _LogSupport(p, p)
+        orders = OrderGrid.default().orders()
+        log_mean, escort_mean = _log_moments(support, orders, escort=True)
+        singles = [self.one_order(support, r, escort=True) for r in orders]
+        assert _bits(log_mean) == _bits([lm for lm, _ in singles])
+        assert _bits(escort_mean) == _bits([em for _, em in singles])
 
     def test_escort_distribution(self, rng):
         w = rng.uniform(0.0, 1.0, 500)

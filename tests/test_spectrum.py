@@ -10,6 +10,7 @@ import srenyi.info
 import srenyi.means
 import srenyi.spectrum
 from srenyi import (
+    ConvergenceError,
     EntropyValue,
     MassMeasure,
     OrderGrid,
@@ -218,7 +219,7 @@ class TestInvertProbability:
         assert abs(r - 1.0) < 1e-6
 
     def test_out_of_range(self, ucb_dist):
-        with pytest.raises(TargetOutOfRangeError):
+        with pytest.raises(TargetOutOfRangeError, match=r"^target 0\.5 outside"):
             invert_probability(ucb_dist, 0.5)
         with pytest.raises(TargetOutOfRangeError):
             invert_probability(ucb_dist, 0.01)
@@ -236,6 +237,19 @@ class TestInvertProbability:
             invert_probability(ucb_dist, 0.2, search_bound=-1.0)
         with pytest.raises(ValueError):
             invert_probability(ucb_dist, math.nan)
+
+    def test_convergence_error_names_target_order_and_miss(self, ucb_dist, monkeypatch):
+        monkeypatch.setattr(srenyi.spectrum, "MAX_BISECT_ITERATIONS", 2)
+        target = equivalent_probability(ucb_dist, 7.0)
+        with pytest.raises(ConvergenceError) as exc:
+            invert_probability(ucb_dist, target, tol=1e-15)
+        err = exc.value
+        assert err.target == target
+        assert math.isfinite(err.order) and abs(err.residual) > 1e-15
+        attained = equivalent_probability(ucb_dist, err.order)
+        assert_allclose(attained / target - 1.0, err.residual, rtol=1e-6)
+        for value in (err.target, err.order, err.residual):
+            assert repr(value) in str(err)
 
     def test_round_trip_randomized(self, rng):
         for _ in range(60):
@@ -306,3 +320,78 @@ class TestRecoverDistribution:
         assert len(rows) == 6
         assert built == [6]
         assert normalized == []
+
+
+class TestTwelveDecadeRecovery:
+    """Recovery across a 1e12 dynamic range: every target strictly between
+    min p and max p gets a finite order whose equivalent probability is
+    within 1e-9 relative, and only the extremes map to -inf / +inf."""
+
+    @staticmethod
+    def _measure(raw):
+        return MassMeasure(tuple(f"x{i}" for i in range(raw.size)), raw)
+
+    def _check(self, m):
+        dist = normalize(m)
+        p = dist.weights
+        support = srenyi.means._LogSupport(p, p)
+        rows = recover_distribution_probe(m)
+        values = sorted(set(p.tolist()))
+        assert len(rows) == len(values)
+        for (_, order, prob), target in zip(rows, values):
+            assert prob == support.mean(order)
+            if target == p.min():
+                assert order == -INF and prob == target
+            elif target == p.max():
+                assert order == INF and prob == target
+            else:
+                assert math.isfinite(order), target
+                assert_allclose(equivalent_probability(dist, order), target, rtol=1e-9, atol=0)
+                assert_allclose(prob, target, rtol=1e-9, atol=0)
+        return rows
+
+    def test_log_uniform_weights(self):
+        rng = np.random.default_rng(1)
+        self._check(self._measure(10.0 ** (-12.0 * rng.random(200))))
+
+    def test_probe_weights(self):
+        raw = np.array([1e-12, 1e-11, 1e-10, 1.0 - 1.11e-10])
+        orders = [order for _, order, _ in self._check(self._measure(raw))]
+        assert orders[0] == -INF and orders[1] < orders[2] and orders[3] == INF
+
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        orders_per_call = []
+        kernel = srenyi.means._log_moments
+
+        def counting_kernel(s, orders, escort=False):
+            orders_per_call.append(len(orders))
+            return kernel(s, orders, escort)
+
+        monkeypatch.setattr(srenyi.means, "_log_moments", counting_kernel)
+        return orders_per_call
+
+    def test_tiny_tolerance_answers_or_raises(self, monkeypatch):
+        """A tol below the rounding of ln pi_r ends in an answer or in
+        ConvergenceError, and a target whose iterate stops moving ends it
+        at once rather than after MAX_BISECT_ITERATIONS steps."""
+        calls = self._count_kernel_calls(monkeypatch)
+        rng = np.random.default_rng(1)
+        m = self._measure(10.0 ** (-12.0 * rng.random(200)))
+        try:
+            rows = recover_distribution_probe(m, tol=1e-16)
+        except ConvergenceError as err:
+            assert err.target is not None and err.residual is not None
+        else:
+            assert len(rows) == 200
+        assert len(calls) <= 50
+
+    def test_lockstep_kernel_calls(self, monkeypatch):
+        """One recovery of 200 values makes at most 25 kernel calls and
+        evaluates at most 8 orders per value on average."""
+        calls = self._count_kernel_calls(monkeypatch)
+        rng = np.random.default_rng(1)
+        rows = recover_distribution_probe(self._measure(10.0 ** (-12.0 * rng.random(200))))
+        assert len(rows) == 200
+        assert len(calls) <= 25
+        assert sum(calls) / len(rows) <= 8.0
