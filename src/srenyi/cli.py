@@ -44,7 +44,7 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import _divergence_support, equivalent_probability
-from .means import _LogSupport
+from .means import _log_moments, _LogSupport
 from .measures import MassMeasure, normalize
 from .spectrum import (
     OrderGrid,
@@ -352,19 +352,17 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     q = read_measure(args.q_input)
     uniform, n_support = _uniform_reference(q)
     ln_b = math.log(base)
-    # labels are aligned once; each order is one kernel call on the support
-    support = _divergence_support(p, q)
+    # labels are aligned once; each column is one kernel call over the grid
+    orders = grid.orders()
+    log_means = _log_moments(_divergence_support(p, q), orders)[0].tolist()
     header = ["order", "divergence"]
-    rows = [(r, support.log_mean(r) / ln_b) for r in grid.orders()]
+    rows = [(r, lm / ln_b) for r, lm in zip(orders, log_means)]
     if uniform:
         check_const = math.log(n_support) / ln_b - math.log(q.total) / ln_b
         header.append("uniform_check")
         # check_const - H_r(p), with H_r(p) = -ln M_r(p_hat, p) / ln b
-        own = _LogSupport(p.weights, p.weights)
-        rows = [
-            (r, div, check_const + own.log_mean(r) / ln_b)
-            for r, div in rows
-        ]
+        own = _log_moments(_LogSupport(p.weights, p.weights), orders)[0].tolist()
+        rows = [(r, div, check_const + lm / ln_b) for (r, div), lm in zip(rows, own)]
     meta = {"base": base, "uniform_reference": uniform}
     _write_table(args.format, "divergence", meta, header, rows)
     return EXIT_OK

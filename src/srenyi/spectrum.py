@@ -232,38 +232,41 @@ def invert_probability(
     a probability in ``[min p, max p]`` of the normalized weights; anything
     outside (by more than ``tol`` relative) raises
     :class:`TargetOutOfRangeError`.  A target that ``pi_0`` already meets
-    gives 0, so flat spectra (uniform distributions, where every order
-    works) resolve to 0; a target within ``tol`` of ``min p`` / ``max p``
-    gives -inf / +inf.  Otherwise safeguarded Newton steps on
-    ``ln pi_r = ln target_p`` run inside a bracket that doubles outward from
-    ``search_bound``; a bracket that would pass 1e6 gives the corresponding
-    infinity.  :class:`ConvergenceError` is raised after 200 steps, or
-    sooner once an iterate stops moving short of ``tol``.
+    gives 0 (so does every target of a uniform distribution); a target
+    within ``tol`` of ``min p`` / ``max p`` gives -inf / +inf, as does one
+    whose order lies beyond +-1e6.  Otherwise
+    :func:`_invert` solves for it, raising :class:`ConvergenceError` after
+    200 steps, or once an iterate stops moving short of ``tol``.
+    ``search_bound`` has no effect, but must be positive.
     """
+    if not search_bound > 0:
+        raise ValueError("search_bound must be positive")
     p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
-    orders, _ = _invert(_LogSupport(p, p), (target_p,), search_bound, tol)
+    orders, _ = _invert(_LogSupport(p, p), (target_p,), tol)
     return float(orders[0])
 
 
+@np.errstate(all="ignore")  # inf and NaN iterates are settled by the comparisons
 def _invert(
-    support: _LogSupport, targets: Iterable[float], search_bound: float, tol: float
+    support: _LogSupport, targets: Iterable[float], tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`invert_probability` for every target at once, on the
     log-support of a distribution against itself, whose ``mean(r)`` is the
     equivalent probability: ``(orders, support.mean(orders))``.
 
-    Every pass is one kernel call over the orders of the targets still
-    open, each of which then takes a Newton step in ``d ln pi_r / dr``
-    (the spectrum slope) from its iterate, or, when that step leaves its
-    bracket, bisects it.  A bracket end that has not yet been evaluated is
-    at ``+-search_bound``, doubled each time an evaluation there falls short;
-    the first step is the Newton step from ``r = 0``, whose slope is
-    ``Var(ln p) / 2``.  A target leaves once ``|pi_r / target - 1| <= tol``.
+    As ``sum p**(1+r)`` has no negative term, ``pi_r >= p_max**(1+1/r)`` at
+    ``r > 0`` and ``pi_r <= p_min**(1+1/r)`` at ``r < 0``: the root of ``t``
+    lies between 0 and ``ln p_ext / (ln t - ln p_ext)`` (``p_ext`` the
+    extreme on its side of ``pi_0``), clipped to ``+-BRACKET_CAP``.  Each
+    pass is one kernel call over the open targets, which then take a Newton
+    step on ``ln pi_r``, in ``1/r`` where ``|r| > 1`` (``ln pi_r ~ A + B/r``
+    there); a step out of the bracket goes to an end not evaluated yet, or
+    else bisects.  Should ``pi`` at the bound round past ``t``, the cap
+    becomes the end.  A target is done once ``|pi_r / t - 1| <= tol``, and
+    is +-inf if ``pi`` at the cap falls short.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not search_bound > 0:
-        raise ValueError("search_bound must be positive")
     t = np.array(targets, dtype=float, ndmin=1)
     if np.isnan(t).any():
         raise ValueError("target probability must not be NaN")
@@ -274,8 +277,7 @@ def _invert(
             f"target {float(t[outside][0])} outside the attainable range [{p_min}, {p_max}]"
         )
     (log_pi0,), (slope0,) = _log_mean_slope(support, (0.0,))
-    with np.errstate(divide="ignore"):
-        log_t = np.log(t)
+    log_t = np.log(t)
     orders = np.zeros(t.size)
     log_pi = np.full(t.size, log_pi0)
     at_zero = np.abs(np.expm1(log_pi0 - log_t)) <= tol
@@ -284,8 +286,10 @@ def _invert(
     idx = np.flatnonzero(~at_zero & np.isfinite(orders))
     log_t = log_t[idx]
     below = log_pi0 < log_t  # the root lies at r > 0
-    lo = np.where(below, 0.0, -search_bound)
-    hi = np.where(below, search_bound, 0.0)
+    log_ext = np.where(below, math.log(p_max), math.log(p_min))
+    # |root| <= bound, also where ln t rounds onto ln p_ext
+    bound = np.minimum(log_ext / -np.abs(log_t - log_ext), BRACKET_CAP)
+    lo, hi = np.where(below, 0.0, -bound), np.where(below, bound, 0.0)
     lo_known, hi_known = below, ~below
     r = np.clip((log_t - log_pi0) / slope0, lo, hi)
     r_last, miss = np.zeros(idx.size), np.expm1(log_pi0 - log_t)  # pi_0 so far
@@ -296,26 +300,21 @@ def _invert(
         f = lp - log_t
         miss = np.expm1(f)
         below = f < 0.0
-        grow_hi = below & ~hi_known & (r >= hi)
-        grow_lo = ~below & ~lo_known & (r <= lo)
-        lo = np.where(below, r, np.where(grow_lo, 2.0 * lo, lo))
-        hi = np.where(below, np.where(grow_hi, 2.0 * hi, hi), r)
+        lo = np.where(below, r, np.where(r <= lo, -BRACKET_CAP, lo))
+        hi = np.where(below, np.where(r >= hi, BRACKET_CAP, hi), r)
         lo_known, hi_known = lo_known | below, hi_known | ~below
-        # the Newton step where it stays inside the bracket; past an end
-        # not evaluated yet, that end; otherwise the midpoint
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = r - f / slope
+        d = f / slope
+        step = r - d / np.where(np.abs(r) > 1.0, 1.0 + d / r, 1.0)
         r_next = np.where(~hi_known & (step >= hi), hi, 0.5 * (lo + hi))
         r_next = np.where(~lo_known & (step <= lo), lo, r_next)
         r_next = np.where((lo < step) & (step < hi), step, r_next)
         done = np.abs(miss) <= tol
         orders[idx[done]] = r[done]
         log_pi[idx[done]] = lp[done]
-        past_hi = ~done & grow_hi & (hi > BRACKET_CAP)
-        past_lo = ~done & grow_lo & (lo < -BRACKET_CAP)
-        orders[idx[past_hi]] = math.inf
-        orders[idx[past_lo]] = -math.inf
-        keep = ~(done | past_hi | past_lo)
+        # short at the cap: the root is beyond it
+        past = ~done & (np.abs(r) >= BRACKET_CAP) & (below == (r > 0.0))
+        orders[idx[past]] = np.copysign(math.inf, r[past])
+        keep = ~(done | past)
         idx, log_t, lo, hi = idx[keep], log_t[keep], lo[keep], hi[keep]
         lo_known, hi_known, r_last, miss = lo_known[keep], hi_known[keep], r[keep], miss[keep]
         r = r_next[keep]
@@ -333,8 +332,7 @@ def _invert(
             order=order,
             residual=residual,
         )
-    with np.errstate(over="ignore"):
-        probs = np.exp(log_pi)
+    probs = np.exp(log_pi)
     probs[orders == math.inf] = p_max
     probs[orders == -math.inf] = p_min
     return orders, probs
@@ -360,7 +358,7 @@ def recover_distribution_probe(
         if weight > 0:
             by_value.setdefault(weight, []).append(label)
     values = sorted(by_value)
-    orders, probs = _invert(_LogSupport(p, p), values, 1.0, tol)
+    orders, probs = _invert(_LogSupport(p, p), values, tol)
     return [
         (",".join(sorted(by_value[v])), order, prob)
         for v, order, prob in zip(values, orders.tolist(), probs.tolist())

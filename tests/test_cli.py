@@ -315,6 +315,48 @@ class TestDivergenceCommand:
             expected = srenyi.shifted_divergence(p_measure, q_measure, float(order))
             assert float(div) == expected.value
 
+    @pytest.mark.parametrize(
+        "q_rows, orders",
+        [
+            (None, None),
+            # p/q holds both 0 and inf, on a grid without order 0
+            ({"a": "1e-310", "b": "1e300", "c": "1"}, "-inf,-3,-1e-4,1e-3,0.5,40,inf"),
+        ],
+    )
+    def test_one_kernel_call_per_column(
+        self, capsys, monkeypatch, tmp_path, uniform_csv, q_rows, orders
+    ):
+        """Each column is one kernel call over the grid, and every value is
+        bitwise what the one-order call at its row gives."""
+        if q_rows is None:
+            p_path, q_path = tmp_path / "ucb.csv", uniform_csv
+            p_path.write_text("".join(f"{l},{c}\n" for l, c in zip(UCB_LABELS, UCB_COUNTS)))
+        else:
+            p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
+            p_path.write_text("a,1e10\nb,1e-300\nc,1\n")
+            q_path.write_text("".join(f"{l},{w}\n" for l, w in q_rows.items()))
+        kernel, calls, tables = srenyi.cli._log_moments, [], []
+
+        def counting(s, rs, escort=False):
+            calls.append(len(rs))
+            return kernel(s, rs, escort)
+
+        monkeypatch.setattr(srenyi.cli, "_log_moments", counting)
+        monkeypatch.setattr(srenyi.cli, "_write_table", lambda *args: tables.append(args))
+        argv = ["divergence", str(p_path), str(q_path), "--base", "e"]
+        assert run(capsys, argv + ([f"--orders={orders}"] if orders else []))[0] == 0
+        (_, _, meta, header, rows), = tables
+        grid = srenyi.cli.parse_orders(orders)
+        assert calls == [len(grid)] * (len(header) - 1)
+        p, q = read_measure(str(p_path)), read_measure(str(q_path))
+        support = srenyi.info._divergence_support(p, q)
+        own = srenyi.means._LogSupport(p.weights, p.weights)
+        check = math.log(len(q)) - math.log(q.total)
+        for row, r in zip(rows, grid.orders(), strict=True):
+            assert row[:2] == (r, support.log_mean(r))
+            if meta["uniform_reference"]:
+                assert row[2] == check + own.log_mean(r)
+
     def test_overflowing_ratio_prints_one_error_line(self, tmp_path):
         # p/q overflows to inf on "a" and underflows to 0 on "b", so the
         # order-0 mean is undefined; numpy must not warn on the way there

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import srenyi.info
@@ -262,6 +264,101 @@ class TestInvertProbability:
             )
 
 
+@st.composite
+def spectrum_weights(draw):
+    """Unnormalized weights: uniform, log-uniform over 1e12, integer counts,
+    or a few tiny-mass outliers among uniform ones."""
+    kind = draw(st.sampled_from(("uniform", "log-uniform", "counts", "outliers")))
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        return rng.uniform(1e-3, 1.0, n)
+    if kind == "log-uniform":
+        return 10.0 ** (-12.0 * rng.random(n))
+    if kind == "counts":
+        return rng.integers(1, 20, n).astype(float)
+    raw = rng.uniform(0.05, 1.0, n)
+    k = int(rng.integers(1, n))
+    raw[:k] = 10.0 ** rng.uniform(-14.0, -8.0, k)
+    return raw
+
+
+class TestClosedFormBracket:
+    """The root of a target t lies between 0 and ln p_ext / (ln t - ln p_ext),
+    capped at +-1e6; only a target short at the cap gives +-inf."""
+
+    TWO_POINT = MassMeasure(("a", "b"), np.array([0.9, 0.1]))
+
+    @given(
+        spectrum_weights(),
+        st.floats(min_value=-2.0, max_value=5.0),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bound_brackets_the_root(self, raw, decades, sign):
+        """|ln p_ext / (ln pi_r - ln p_ext)| >= |r|, up to the rounding of
+        ln pi_r, which grows like eps * max|ln p| * (1 + |r|) / |r|."""
+        p = raw / raw.sum()
+        r = sign * 10.0**decades
+        log_pi = srenyi.means._LogSupport(p, p).log_mean(r)
+        log_ext = math.log(p.max() if r > 0 else p.min())
+        slack = 8.0 * np.finfo(float).eps * np.abs(np.log(p)).max() * (1.0 + abs(r))
+        assert abs(r) * abs(log_pi - log_ext) <= abs(log_ext) + slack
+
+    @pytest.mark.parametrize("r", [8e5, -8e5])
+    def test_roots_below_the_cap_are_finite(self, r):
+        """Roots in (2**19, 1e6] are finite: only the cap gives +-inf."""
+        target = equivalent_probability(self.TWO_POINT, r)
+        order = invert_probability(self.TWO_POINT, target)
+        assert_allclose(order, r, rtol=1e-8)
+        assert_allclose(equivalent_probability(self.TWO_POINT, order), target, rtol=1e-10)
+
+    @pytest.mark.parametrize("r", [3e6, -3e6])
+    def test_roots_past_the_cap_give_infinities(self, r):
+        target = equivalent_probability(self.TWO_POINT, r)
+        assert invert_probability(self.TWO_POINT, target) == math.copysign(INF, r)
+
+    @staticmethod
+    def _order_or_failed_order(m, target, tol):
+        try:
+            return invert_probability(m, target, tol=tol)
+        except ConvergenceError as err:
+            return err.order
+
+    def test_tight_bound_short_by_rounding_stays_finite(self):
+        """At r = 8e5 the bound is the root up to rounding, and pi there falls
+        short of the target by an ulp: a tol below that ends in a finite
+        order or ConvergenceError, not +inf."""
+        target = equivalent_probability(self.TWO_POINT, 8e5)
+        assert math.isfinite(self._order_or_failed_order(self.TWO_POINT, target, 1e-20))
+
+    def test_short_at_an_unevaluated_bound_never_gives_infinity(self, monkeypatch):
+        """An evaluation at the bound (below the cap) that rounds to the wrong
+        side of the target ends as a finite order or ConvergenceError."""
+        rng = np.random.default_rng(1)
+        m = MassMeasure(tuple(f"x{i}" for i in range(200)), 10.0 ** (-12.0 * rng.random(200)))
+        dist = normalize(m)
+        target = equivalent_probability(dist, -15.0)
+        log_t = float(np.log(np.array([target]))[0])
+        log_min = math.log(dist.weights.min())
+        bound = log_min / abs(log_t - log_min)
+        solve = srenyi.spectrum._log_mean_slope
+        seen = []
+
+        def one_ulp_past(s, orders):
+            log_pi, slope = solve(s, orders)
+            seen.append(list(orders))
+            if len(seen) == 2:  # the first step, clipped to the bound
+                assert_allclose(orders, [bound], rtol=1e-12)
+                log_pi = np.nextafter(np.full(log_pi.shape, log_t), INF)
+            return log_pi, slope
+
+        monkeypatch.setattr(srenyi.spectrum, "_log_mean_slope", one_ulp_past)
+        assert invert_probability(m, target) == seen[1][0]
+        seen.clear()
+        assert math.isfinite(self._order_or_failed_order(m, target, 1e-18))
+
+
 class TestRecoverDistribution:
     def test_two_point(self):
         dist = normalize(MassMeasure(("hi", "lo"), np.array([0.75, 0.25])))
@@ -387,11 +484,21 @@ class TestTwelveDecadeRecovery:
         assert len(calls) <= 50
 
     def test_lockstep_kernel_calls(self, monkeypatch):
-        """One recovery of 200 values makes at most 25 kernel calls and
-        evaluates at most 8 orders per value on average."""
+        """One recovery of 200 values makes at most 12 kernel calls and
+        evaluates at most 5 orders per value on average."""
         calls = self._count_kernel_calls(monkeypatch)
         rng = np.random.default_rng(1)
         rows = recover_distribution_probe(self._measure(10.0 ** (-12.0 * rng.random(200))))
         assert len(rows) == 200
-        assert len(calls) <= 25
-        assert sum(calls) / len(rows) <= 8.0
+        assert len(calls) <= 12
+        assert sum(calls) / len(rows) <= 5.0
+
+    def test_far_tail_target_kernel_calls(self, monkeypatch):
+        """A target at r = -15 starts at its closed-form bound, within a few
+        per cent of the root, and needs at most 6 kernel calls."""
+        rng = np.random.default_rng(1)
+        m = self._measure(10.0 ** (-12.0 * rng.random(200)))
+        target = equivalent_probability(normalize(m), -15.0)
+        calls = self._count_kernel_calls(monkeypatch)
+        assert_allclose(invert_probability(m, target), -15.0, rtol=1e-9)
+        assert len(calls) <= 6
