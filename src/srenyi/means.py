@@ -217,7 +217,7 @@ def _log_moments(
     of at most ``_PASS_ELEMENTS``, and every value is bitwise what a
     one-order call gives.  The escort needs every value positive and
     finite; it is NaN at ``+-inf``, at ``r = 0`` and in the subnormal
-    series, where :func:`_log_mean_slope` never asks for it.
+    series, where :func:`_log_mean_slope` never uses it.
     """
     rs = np.array(orders, dtype=float, ndmin=1)
     log_x = s.log_x
@@ -282,26 +282,23 @@ def _log_mean_slope(
     ``|r| * spread <= SLOPE_SERIES_RADIUS`` its Taylor series in the
     cumulants ``k_n`` of ``ln x`` under ``w_hat`` is used instead,
     ``k_2/2 + r k_3/3 + r**2 k_4/8``, which at ``r = 0`` is the exact
-    ``Var(ln x) / 2``, and the kernel is not asked for the escort there.
+    ``Var(ln x) / 2``.  One kernel call serves every order; it is asked for
+    the escort unless every order is in the series band.
     Every slope in the library comes from here: the spectrum column,
     :func:`srenyi.info.entropy_derivative`, :func:`power_mean_derivative`
     and the Newton steps of spectrum inversion.
     """
     rs = np.array(orders, dtype=float, ndmin=1)
-    near, far = [], []
-    for i, r in enumerate(rs.tolist()):
-        (near if abs(r) * s.spread <= SLOPE_SERIES_RADIUS else far).append(i)
-    log_mean, slope = np.empty(rs.size), np.empty(rs.size)
-    if near:
+    near = np.abs(rs) * s.spread <= SLOPE_SERIES_RADIUS
+    log_mean, escort_mean = _log_moments(s, rs, escort=not near.all())
+    slope = np.empty(rs.size)
+    if near.any():
         k2, k3, k4 = s.cumulants()
         r = rs[near]
-        log_mean[near] = _log_moments(s, r)[0]
         slope[near] = 0.5 * k2 + r * k3 / 3.0 + r * r * k4 / 8.0
-    if far:
-        r = rs[far]
-        far_mean, escort_mean = _log_moments(s, r, escort=True)
-        log_mean[far] = far_mean
-        far_slope = (escort_mean - far_mean) / r
+    if escort_mean is not None:
+        far = ~near
+        far_slope = (escort_mean[far] - log_mean[far]) / rs[far]
         slope[far] = np.where(far_slope < 0.0, 0.0, far_slope)
     return log_mean, slope
 

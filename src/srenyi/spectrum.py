@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 BRACKET_CAP = 1e6
+SEED_ORDERS = 64
 MAX_BISECT_ITERATIONS = 200
 
 
@@ -236,7 +237,8 @@ def invert_probability(
     within ``tol`` of ``min p`` / ``max p`` gives -inf / +inf, as does one
     whose order lies beyond +-1e6.  Otherwise
     :func:`_invert` solves for it, raising :class:`ConvergenceError` after
-    200 steps, or once an iterate stops moving short of ``tol``.
+    200 steps, once an iterate stops moving short of ``tol``, or when
+    ``pi`` at +-1e6 misses the target by no more than its own rounding.
     ``search_bound`` has no effect, but must be positive.
     """
     if not search_bound > 0:
@@ -257,13 +259,24 @@ def _invert(
     As ``sum p**(1+r)`` has no negative term, ``pi_r >= p_max**(1+1/r)`` at
     ``r > 0`` and ``pi_r <= p_min**(1+1/r)`` at ``r < 0``: the root of ``t``
     lies between 0 and ``ln p_ext / (ln t - ln p_ext)`` (``p_ext`` the
-    extreme on its side of ``pi_0``), clipped to ``+-BRACKET_CAP``.  Each
-    pass is one kernel call over the open targets, which then take a Newton
-    step on ``ln pi_r``, in ``1/r`` where ``|r| > 1`` (``ln pi_r ~ A + B/r``
-    there); a step out of the bracket goes to an end not evaluated yet, or
-    else bisects.  Should ``pi`` at the bound round past ``t``, the cap
-    becomes the end.  A target is done once ``|pi_r / t - 1| <= tol``, and
-    is +-inf if ``pi`` at the cap falls short.
+    extreme on its side of ``pi_0``), clipped to ``+-BRACKET_CAP``.
+
+    With more than ``SEED_ORDERS`` targets, the first kernel call evaluates
+    ``r = 0`` and ``SEED_ORDERS`` shared orders spread evenly in
+    ``r / (1 + |r|)`` over the brackets of the lowest and the highest
+    target, and :func:`_seeded_start` brackets and starts every target from
+    them.  With fewer, it evaluates ``r = 0`` alone, and each target starts
+    at a Newton step from there, clipped to its bound.
+
+    Every later pass is one kernel call over the open targets, which take a
+    Newton step on ``ln pi_r``, in ``1/r`` where ``|r| > 1``
+    (``ln pi_r ~ A + B/r`` there); a step out of the bracket bisects it, or
+    goes to the cap where that is the end.  Should ``pi`` at an end round
+    to the wrong side of ``t``, the cap becomes that end.  A target is done
+    once ``|pi_r / t - 1| <= tol``.  It is +-inf if ``pi`` at the cap falls
+    short of it by more than the rounding of ``ln pi`` can explain; within
+    that rounding no order can meet ``tol``, and :class:`ConvergenceError`
+    is raised, as it is when an iterate stops moving.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -276,22 +289,33 @@ def _invert(
         raise TargetOutOfRangeError(
             f"target {float(t[outside][0])} outside the attainable range [{p_min}, {p_max}]"
         )
-    (log_pi0,), (slope0,) = _log_mean_slope(support, (0.0,))
     log_t = np.log(t)
+    log_min, log_max = math.log(p_min), math.log(p_max)
+    top, bottom = t >= p_max * (1.0 - tol), t <= p_min * (1.0 + tol)
+    inner = log_t[~(top | bottom)]
+    seeds = np.zeros(1)
+    if inner.size > SEED_ORDERS:
+        neg = _root_bound(inner.min(), log_min)
+        pos = _root_bound(inner.max(), log_max)
+        u = np.linspace(-neg / (1.0 + neg), pos / (1.0 + pos), SEED_ORDERS)
+        seeds = np.sort(np.append(u / (1.0 - np.abs(u)), 0.0))
+    seed_lp, seed_slope = _log_mean_slope(support, seeds)
+    log_pi0 = float(seed_lp[np.searchsorted(seeds, 0.0)])
     orders = np.zeros(t.size)
     log_pi = np.full(t.size, log_pi0)
     at_zero = np.abs(np.expm1(log_pi0 - log_t)) <= tol
-    orders[~at_zero & (t >= p_max * (1.0 - tol))] = math.inf
-    orders[~at_zero & (t <= p_min * (1.0 + tol))] = -math.inf
+    orders[~at_zero & top] = math.inf
+    orders[~at_zero & bottom] = -math.inf
     idx = np.flatnonzero(~at_zero & np.isfinite(orders))
     log_t = log_t[idx]
-    below = log_pi0 < log_t  # the root lies at r > 0
-    log_ext = np.where(below, math.log(p_max), math.log(p_min))
-    # |root| <= bound, also where ln t rounds onto ln p_ext
-    bound = np.minimum(log_ext / -np.abs(log_t - log_ext), BRACKET_CAP)
-    lo, hi = np.where(below, 0.0, -bound), np.where(below, bound, 0.0)
-    lo_known, hi_known = below, ~below
-    r = np.clip((log_t - log_pi0) / slope0, lo, hi)
+    if seeds.size > 1:
+        r, lo, hi = _seeded_start(seeds, seed_lp, seed_slope, log_t)
+    else:
+        below = log_pi0 < log_t  # the root lies at r > 0
+        bound = np.where(below, _root_bound(log_t, log_max), -_root_bound(log_t, log_min))
+        lo, hi = np.minimum(bound, 0.0), np.maximum(bound, 0.0)
+        r = np.clip((log_t - log_pi0) / seed_slope[0], lo, hi)
+    slack = 8.0 * np.finfo(float).eps * support.scale  # rounding of ln pi at the cap
     r_last, miss = np.zeros(idx.size), np.expm1(log_pi0 - log_t)  # pi_0 so far
     steps = 0
     while idx.size and steps < MAX_BISECT_ITERATIONS:
@@ -300,24 +324,23 @@ def _invert(
         f = lp - log_t
         miss = np.expm1(f)
         below = f < 0.0
+        # an end that reads on the wrong side of t, by rounding, gives way to the cap
         lo = np.where(below, r, np.where(r <= lo, -BRACKET_CAP, lo))
         hi = np.where(below, np.where(r >= hi, BRACKET_CAP, hi), r)
-        lo_known, hi_known = lo_known | below, hi_known | ~below
         d = f / slope
         step = r - d / np.where(np.abs(r) > 1.0, 1.0 + d / r, 1.0)
-        r_next = np.where(~hi_known & (step >= hi), hi, 0.5 * (lo + hi))
-        r_next = np.where(~lo_known & (step <= lo), lo, r_next)
+        end = np.where(below, hi, lo)  # the end the root lies toward
+        r_next = np.where(np.abs(end) == BRACKET_CAP, end, 0.5 * (lo + hi))
         r_next = np.where((lo < step) & (step < hi), step, r_next)
         done = np.abs(miss) <= tol
         orders[idx[done]] = r[done]
         log_pi[idx[done]] = lp[done]
-        # short at the cap: the root is beyond it
-        past = ~done & (np.abs(r) >= BRACKET_CAP) & (below == (r > 0.0))
+        # short at the cap by more than rounding: the root is beyond it
+        past = ~done & (np.abs(r) >= BRACKET_CAP) & (below == (r > 0.0)) & (np.abs(f) > slack)
         orders[idx[past]] = np.copysign(math.inf, r[past])
         keep = ~(done | past)
         idx, log_t, lo, hi = idx[keep], log_t[keep], lo[keep], hi[keep]
-        lo_known, hi_known, r_last, miss = lo_known[keep], hi_known[keep], r[keep], miss[keep]
-        r = r_next[keep]
+        r_last, miss, r = r[keep], miss[keep], r_next[keep]
         stuck = r == r_last  # it would repeat at every later step
         if stuck.any():
             idx, r_last, miss = idx[stuck], r_last[stuck], miss[stuck]
@@ -338,6 +361,46 @@ def _invert(
     return orders, probs
 
 
+def _root_bound(log_t, log_ext):
+    """``|root|`` of ``ln t`` at most, with ``p_ext`` the extreme on its
+    side: ``ln p_ext / (ln t - ln p_ext)``, also where ``ln t`` rounds onto
+    ``ln p_ext``, and at most ``BRACKET_CAP``."""
+    return np.minimum(log_ext / -np.abs(log_t - log_ext), BRACKET_CAP)
+
+
+def _seeded_start(
+    seeds: np.ndarray, seed_lp: np.ndarray, seed_slope: np.ndarray, log_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, lo, hi)`` of each target from the sorted ``seeds``, their
+    ``ln pi`` and their slopes: the bracket is the first seed at or past
+    ``ln t`` (by the running maximum of ``ln pi``, which a seed rounding out
+    of order cannot break) and the one before it, and the start is their
+    inverse cubic Hermite interpolant ``x(ln pi)``, with ``x = 1/r`` where
+    both ``|r| > 1``, or the secant where that leaves the bracket.  A
+    target that rounding puts past the outermost seed is bracketed by it
+    and the cap, and starts at the seed.
+    """
+    r_pad = np.concatenate(([-BRACKET_CAP], seeds, [BRACKET_CAP]))
+    lp_pad = np.concatenate(([-math.inf], np.maximum.accumulate(seed_lp), [math.inf]))
+    slope_pad = np.concatenate(([math.nan], seed_slope, [math.nan]))
+    j = np.searchsorted(lp_pad, log_t)  # lp_pad[j - 1] < ln t <= lp_pad[j]
+    ends, lp = r_pad[[j - 1, j]], lp_pad[[j - 1, j]]
+    inv = (np.abs(ends) > 1.0).all(axis=0)  # ln pi ~ A + B/r there
+    x = np.where(inv, 1.0 / ends, ends)
+    m = np.where(inv, -x * x, 1.0) / slope_pad[[j - 1, j]]  # dx / d ln pi
+    h = lp[1] - lp[0]
+    s = (log_t - lp[0]) / h
+    guess = (
+        x[0] + (2.0 * s - 3.0) * s * s * (x[0] - x[1])
+        + h * s * (1.0 - s) * ((1.0 - s) * m[0] - s * m[1])
+    )
+    inside = (x.min(axis=0) < guess) & (guess < x.max(axis=0))
+    guess = np.where(inside, guess, x[0] + s * (x[1] - x[0]))
+    start = np.where(inv, 1.0 / guess, guess)
+    start = np.where(j == 1, ends[1], np.where(j == r_pad.size - 1, ends[0], start))
+    return start, ends[0], ends[1]
+
+
 def recover_distribution_probe(
     m: MassMeasure, tol: float = 1e-10
 ) -> list[tuple[str, float, float]]:
@@ -350,7 +413,9 @@ def recover_distribution_probe(
     probability attained at the recovered order, so the multiset of third
     components reproduces the distinct weights of the distribution within
     ``tol`` relative.  All values are inverted together, as in
-    :func:`invert_probability`, with one kernel call per Newton step.
+    :func:`invert_probability`: one kernel call samples the spectrum to
+    start them all (given more than ``SEED_ORDERS`` values), and then one
+    call makes each Newton step.
     """
     p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
     by_value: dict[float, list[str]] = {}
