@@ -43,15 +43,10 @@ from .errors import (
     SupportViolationError,
     TargetOutOfRangeError,
 )
-from .info import _divergence_support, equivalent_probability
+from .info import _divergence_support
 from .means import _log_moments, _LogSupport
 from .measures import MassMeasure, normalize
-from .spectrum import (
-    OrderGrid,
-    invert_probability,
-    recover_distribution_probe,
-    sample_spectrum,
-)
+from .spectrum import OrderGrid, _invert, recover_distribution_probe, sample_spectrum
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -373,14 +368,16 @@ def cmd_invert(args: argparse.Namespace) -> int:
     tol = args.tol
     if not tol > 0:
         raise OptionError(f"--tol must be positive, got {tol}")
+    if args.target is not None and math.isnan(args.target):
+        raise OptionError("--target must not be NaN")
     if args.all:
         header = ["labels", "order", "probability"]
         rows = recover_distribution_probe(measure, tol=tol)
     else:
-        order = invert_probability(measure, args.target, tol=tol)
-        achieved = equivalent_probability(normalize(measure), order)
+        # the order and the probability the solver attained there
+        orders, probs = _invert(measure, (args.target,), tol)
         header = ["target", "order", "probability"]
-        rows = [(args.target, order, achieved)]
+        rows = [(args.target, orders.tolist()[0], probs.tolist()[0])]
     _write_table(args.format, "invert", {}, header, rows)
     return EXIT_OK
 

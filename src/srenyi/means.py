@@ -248,8 +248,7 @@ def _log_moments(
             # r*log(x) underflows into subnormals, where the product itself
             # cannot be trusted; expand around the geometric mean instead,
             # with an O(r^2) truncation error that is unobservable here
-            var = float(np.sum(s.norm_w * (log_x - geo) ** 2))
-            log_mean[series] = geo + 0.5 * rs[series] * var
+            log_mean[series] = geo + 0.5 * rs[series] * s.cumulants()[0]
     for idx in _passes(lse, log_x.size):
         log_mean[idx], escort_here = _log_sum_exp_pass(s, rs[idx], escort)
         if escort:

@@ -39,7 +39,7 @@ __all__ = [
 
 BRACKET_CAP = 1e6
 SEED_ORDERS = 64
-MAX_BISECT_ITERATIONS = 200
+MAX_NEWTON_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -219,12 +219,7 @@ def sample_spectrum(
     return table
 
 
-def invert_probability(
-    m: MassMeasure,
-    target_p: float,
-    search_bound: float = 1.0,
-    tol: float = 1e-10,
-) -> float:
+def invert_probability(m: MassMeasure, target_p: float, tol: float = 1e-10) -> float:
     """Find an order ``r`` whose equivalent probability ``pi_r(normalize(m))``
     is ``target_p`` within the relative tolerance ``tol``, or +-inf when the
     target sits at the extreme weights.
@@ -235,25 +230,20 @@ def invert_probability(
     :class:`TargetOutOfRangeError`.  A target that ``pi_0`` already meets
     gives 0 (so does every target of a uniform distribution); a target
     within ``tol`` of ``min p`` / ``max p`` gives -inf / +inf, as does one
-    whose order lies beyond +-1e6.  Otherwise
-    :func:`_invert` solves for it, raising :class:`ConvergenceError` after
-    200 steps, once an iterate stops moving short of ``tol``, or when
-    ``pi`` at +-1e6 misses the target by no more than its own rounding.
-    ``search_bound`` has no effect, but must be positive.
+    whose order lies beyond +-1e6.  Otherwise :func:`_invert` solves for
+    it, raising :class:`ConvergenceError` after 200 rounds, once an iterate
+    stops moving short of ``tol``, or when ``pi`` at +-1e6 misses the target
+    by no more than its own rounding.
     """
-    if not search_bound > 0:
-        raise ValueError("search_bound must be positive")
-    p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
-    orders, _ = _invert(_LogSupport(p, p), (target_p,), tol)
-    return float(orders[0])
+    return float(_invert(m, (target_p,), tol)[0][0])
 
 
 @np.errstate(all="ignore")  # inf and NaN iterates are settled by the comparisons
 def _invert(
-    support: _LogSupport, targets: Iterable[float], tol: float
+    m: MassMeasure, targets: Iterable[float], tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`invert_probability` for every target at once, on the
-    log-support of a distribution against itself, whose ``mean(r)`` is the
+    log-support of ``normalize(m)`` against itself, whose ``mean(r)`` is the
     equivalent probability: ``(orders, support.mean(orders))``.
 
     As ``sum p**(1+r)`` has no negative term, ``pi_r >= p_max**(1+1/r)`` at
@@ -261,12 +251,11 @@ def _invert(
     lies between 0 and ``ln p_ext / (ln t - ln p_ext)`` (``p_ext`` the
     extreme on its side of ``pi_0``), clipped to ``+-BRACKET_CAP``.
 
-    With more than ``SEED_ORDERS`` targets, the first kernel call evaluates
-    ``r = 0`` and ``SEED_ORDERS`` shared orders spread evenly in
-    ``r / (1 + |r|)`` over the brackets of the lowest and the highest
-    target, and :func:`_seeded_start` brackets and starts every target from
-    them.  With fewer, it evaluates ``r = 0`` alone, and each target starts
-    at a Newton step from there, clipped to its bound.
+    The first kernel call evaluates ``r = 0``, and with more than
+    ``SEED_ORDERS`` targets also ``SEED_ORDERS`` shared orders spread
+    evenly in ``r / (1 + |r|)`` over the brackets of the lowest and the
+    highest target; :func:`_seeded_start` brackets and starts every target
+    from these seeds.
 
     Every later pass is one kernel call over the open targets, which take a
     Newton step on ``ln pi_r``, in ``1/r`` where ``|r| > 1``
@@ -283,6 +272,8 @@ def _invert(
     t = np.array(targets, dtype=float, ndmin=1)
     if np.isnan(t).any():
         raise ValueError("target probability must not be NaN")
+    p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
+    support = _LogSupport(p, p)
     p_min, p_max = float(support.values.min()), float(support.values.max())
     outside = (t < p_min * (1.0 - tol)) | (t > p_max * (1.0 + tol))
     if outside.any():
@@ -308,17 +299,11 @@ def _invert(
     orders[~at_zero & bottom] = -math.inf
     idx = np.flatnonzero(~at_zero & np.isfinite(orders))
     log_t = log_t[idx]
-    if seeds.size > 1:
-        r, lo, hi = _seeded_start(seeds, seed_lp, seed_slope, log_t)
-    else:
-        below = log_pi0 < log_t  # the root lies at r > 0
-        bound = np.where(below, _root_bound(log_t, log_max), -_root_bound(log_t, log_min))
-        lo, hi = np.minimum(bound, 0.0), np.maximum(bound, 0.0)
-        r = np.clip((log_t - log_pi0) / seed_slope[0], lo, hi)
+    r, lo, hi = _seeded_start(seeds, seed_lp, seed_slope, log_t, log_min, log_max)
     slack = 8.0 * np.finfo(float).eps * support.scale  # rounding of ln pi at the cap
     r_last, miss = np.zeros(idx.size), np.expm1(log_pi0 - log_t)  # pi_0 so far
     steps = 0
-    while idx.size and steps < MAX_BISECT_ITERATIONS:
+    while idx.size and steps < MAX_NEWTON_ROUNDS:
         steps += 1
         lp, slope = _log_mean_slope(support, r)
         f = lp - log_t
@@ -369,7 +354,12 @@ def _root_bound(log_t, log_ext):
 
 
 def _seeded_start(
-    seeds: np.ndarray, seed_lp: np.ndarray, seed_slope: np.ndarray, log_t: np.ndarray
+    seeds: np.ndarray,
+    seed_lp: np.ndarray,
+    seed_slope: np.ndarray,
+    log_t: np.ndarray,
+    log_min: float,
+    log_max: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(start, lo, hi)`` of each target from the sorted ``seeds``, their
     ``ln pi`` and their slopes: the bracket is the first seed at or past
@@ -377,8 +367,10 @@ def _seeded_start(
     of order cannot break) and the one before it, and the start is their
     inverse cubic Hermite interpolant ``x(ln pi)``, with ``x = 1/r`` where
     both ``|r| > 1``, or the secant where that leaves the bracket.  A
-    target that rounding puts past the outermost seed is bracketed by it
-    and the cap, and starts at the seed.
+    target past the outermost seed (every target, when ``r = 0`` is the
+    only seed) is bracketed by that seed and its closed-form bound
+    :func:`_root_bound`, and starts at the Newton step from the seed,
+    clipped into that bracket.
     """
     r_pad = np.concatenate(([-BRACKET_CAP], seeds, [BRACKET_CAP]))
     lp_pad = np.concatenate(([-math.inf], np.maximum.accumulate(seed_lp), [math.inf]))
@@ -397,8 +389,17 @@ def _seeded_start(
     inside = (x.min(axis=0) < guess) & (guess < x.max(axis=0))
     guess = np.where(inside, guess, x[0] + s * (x[1] - x[0]))
     start = np.where(inv, 1.0 / guess, guess)
-    start = np.where(j == 1, ends[1], np.where(j == r_pad.size - 1, ends[0], start))
-    return start, ends[0], ends[1]
+    lo, hi = ends
+    out = np.flatnonzero((j == 1) | (j == r_pad.size - 1))  # past the outermost seed
+    k = np.where(j[out] == 1, 0, -1)
+    near, log_t = seeds[k], log_t[out]
+    bound = _root_bound(log_t, np.where(k == 0, log_min, log_max))
+    bound = np.where(k == 0, -bound, bound)
+    lo[out], hi[out] = np.minimum(bound, near), np.maximum(bound, near)
+    newton = near + (log_t - seed_lp[k]) / seed_slope[k]
+    # fmax, fmin: a 0/0 step (a flat seed meets t) starts at the bound
+    start[out] = np.fmin(np.fmax(newton, lo[out]), hi[out])
+    return start, lo, hi
 
 
 def recover_distribution_probe(
@@ -414,16 +415,14 @@ def recover_distribution_probe(
     components reproduces the distinct weights of the distribution within
     ``tol`` relative.  All values are inverted together, as in
     :func:`invert_probability`: one kernel call samples the spectrum to
-    start them all (given more than ``SEED_ORDERS`` values), and then one
-    call makes each Newton step.
+    start them all, and then one call makes each Newton step.
     """
-    p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
     by_value: dict[float, list[str]] = {}
-    for label, weight in zip(m.labels, p.tolist()):
+    for label, weight in zip(m.labels, (m.weights / m.weights.sum()).tolist()):
         if weight > 0:
             by_value.setdefault(weight, []).append(label)
     values = sorted(by_value)
-    orders, probs = _invert(_LogSupport(p, p), values, tol)
+    orders, probs = _invert(m, values, tol)
     return [
         (",".join(sorted(by_value[v])), order, prob)
         for v, order, prob in zip(values, orders.tolist(), probs.tolist())

@@ -434,6 +434,39 @@ class TestInvertCommand:
         code, _, _ = run(capsys, ["invert", ucb_csv, "--target", "0.2", "--tol", "-1"])
         assert code == 2
 
+    def test_nan_target_exit_2(self, capsys, ucb_csv):
+        code, out, err = run(capsys, ["invert", ucb_csv, "--target", "nan"])
+        assert (code, out) == (2, "")
+        assert "--target" in err
+
+    @pytest.mark.parametrize(
+        "target, line",
+        [
+            ("0.2", "0.2,38.09700087504878,0.2000000000000003"),
+            ("0.14", "0.14,-16.4226468234799,0.14000000000000007"),
+            ("0.2061", "0.2061,7697.136122933428,0.2061"),
+            ("0.1291", "0.1291,-3898.973337594488,0.12909999999986785"),
+            ("0.20614228899690676", "0.20614228899690676,inf,0.20614228899690676"),
+        ],
+    )
+    def test_target_row_costs_one_inversion(self, capsys, monkeypatch, ucb_csv, target, line):
+        """The row's probability is the one the solver attained: the command
+        makes exactly the kernel calls of ``invert_probability``, and its
+        bytes are those of evaluating pi again at the returned order."""
+        kernel, calls = srenyi.means._log_moments, []
+
+        def counting(s, rs, escort=False):
+            calls.append(np.array(rs, dtype=float).tolist())
+            return kernel(s, rs, escort)
+
+        monkeypatch.setattr(srenyi.means, "_log_moments", counting)
+        code, out, _ = run(capsys, ["invert", ucb_csv, "--target", target])
+        assert (code, out) == (0, f"target,order,probability\n{line}\n")
+        cli_calls = calls[:]
+        calls.clear()
+        srenyi.invert_probability(read_measure(ucb_csv), float(target), tol=1e-9)
+        assert cli_calls == calls
+
     def test_json_format(self, capsys, ucb_csv):
         _, out, _ = run(capsys, ["invert", ucb_csv, "--all", "--format", "json"])
         payload = json.loads(out)

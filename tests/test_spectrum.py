@@ -236,12 +236,14 @@ class TestInvertProbability:
         with pytest.raises(ValueError):
             invert_probability(ucb_dist, 0.2, tol=0.0)
         with pytest.raises(ValueError):
-            invert_probability(ucb_dist, 0.2, search_bound=-1.0)
-        with pytest.raises(ValueError):
             invert_probability(ucb_dist, math.nan)
 
+    def test_search_bound_is_gone(self, ucb_dist):
+        with pytest.raises(TypeError):
+            invert_probability(ucb_dist, 0.2, search_bound=1.0)
+
     def test_convergence_error_names_target_order_and_miss(self, ucb_dist, monkeypatch):
-        monkeypatch.setattr(srenyi.spectrum, "MAX_BISECT_ITERATIONS", 2)
+        monkeypatch.setattr(srenyi.spectrum, "MAX_NEWTON_ROUNDS", 2)
         target = equivalent_probability(ucb_dist, 7.0)
         with pytest.raises(ConvergenceError) as exc:
             invert_probability(ucb_dist, target, tol=1e-15)
@@ -498,7 +500,7 @@ class TestTwelveDecadeRecovery:
     def test_tiny_tolerance_answers_or_raises(self, monkeypatch):
         """A tol below the rounding of ln pi_r ends in an answer or in
         ConvergenceError, and a target whose iterate stops moving ends it
-        at once rather than after MAX_BISECT_ITERATIONS steps."""
+        at once rather than after MAX_NEWTON_ROUNDS rounds."""
         calls = self._count_kernel_calls(monkeypatch)
         rng = np.random.default_rng(1)
         m = self._measure(10.0 ** (-12.0 * rng.random(200)))
@@ -532,6 +534,40 @@ class TestTwelveDecadeRecovery:
         calls = self._count_kernel_calls(monkeypatch)
         assert_allclose(invert_probability(m, target), -15.0, rtol=1e-9)
         assert len(calls) <= 6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_flat_recovery_kernel_calls(self, monkeypatch, seed):
+        """On 200 weights 1 + 1e-9 * u, pi is flat to rounding between the
+        outermost seeds, so every open value lies past one of them; its
+        Newton step from that seed goes straight to its bound, and one
+        round after the seeding call settles every value."""
+        rng = np.random.default_rng(seed)
+        m = self._measure(1.0 + 1e-9 * rng.random(200))
+        calls = self._count_kernel_calls(monkeypatch)
+        rows = recover_distribution_probe(m)
+        assert len(rows) == len({float(v) for v in normalize(m).weights})
+        assert len(calls) <= 2
+
+    def test_flat_outer_seed_meeting_a_target(self, monkeypatch):
+        """The slope at a seed can read 0, and a value past the outermost
+        seed can lie exactly at its ln pi: the Newton step from there is
+        0/0, and that value starts inside its bracket rather than at NaN."""
+        rng = np.random.default_rng(1)
+        m = self._measure(10.0 ** (-12.0 * rng.random(200)))
+        lowest_inner = math.log(sorted(set(normalize(m).weights.tolist()))[1])
+        solve = srenyi.spectrum._log_mean_slope
+        starts = []
+
+        def flat_lowest_seed(s, orders):
+            log_pi, slope = solve(s, orders)
+            if not starts:
+                log_pi[0], slope[0] = lowest_inner, 0.0
+            starts.append(np.array(orders).tolist())
+            return log_pi, slope
+
+        monkeypatch.setattr(srenyi.spectrum, "_log_mean_slope", flat_lowest_seed)
+        self._check(m)
+        assert -srenyi.spectrum.BRACKET_CAP <= starts[1][0] <= starts[0][0]
 
     @pytest.mark.parametrize(
         "r, max_calls", [(-15.0, 3), (-2.0, 7), (0.3, 5), (4.0, 8), (30.0, 7)]
