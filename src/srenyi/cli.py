@@ -26,11 +26,12 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
-from itertools import chain
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -67,11 +68,11 @@ class OptionError(ValueError):
 
 
 def read_measure(path: str) -> MassMeasure:
-    """The measure in a CSV or JSON file, read in one pass over its lines.
+    """The measure in a CSV or JSON file, read in one pass.
 
     The format is sniffed from the extension or the first non-blank
     character; the lines up to it are kept, and the rest of the file is
-    only ever iterated (CSV) or read once (JSON).
+    read a block of whole lines at a time (CSV) or at once (JSON).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,7 +85,7 @@ def read_measure(path: str) -> MassMeasure:
                 raise ValueError(f"{path}: empty input file")
             if path.lower().endswith(".json") or line.lstrip()[0] in "[{":
                 return _measure_from_json(path, "".join(head) + fh.read())
-            return _measure_from_csv(path, chain(head, fh))
+            return _measure_from_csv(path, "".join(head), fh)
     except UnicodeDecodeError:
         # the streaming decoder counts positions from the start of its
         # current chunk; decoding the whole file reports the file offset
@@ -114,17 +115,96 @@ def _measure_from_json(path: str, text: str) -> MassMeasure:
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise ValueError(f"{path}: record {i}: weight must be a number")
         labels.append(record["label"])
-        weights.append(float(weight))
+        try:
+            weights.append(float(weight))
+        except OverflowError:  # an integer past the doubles, read as CSV reads 1e400
+            weights.append(math.inf if weight > 0 else -math.inf)
     return MassMeasure(labels, weights)
 
 
-def _measure_from_csv(path: str, lines: Iterator[str]) -> MassMeasure:
-    """Apply the row rules to every row: blank rows and ``#`` comments are
-    skipped, a ``label,weight`` header only before the first data row, and
-    every other row must be two cells with a numeric weight."""
-    labels, weights = [], []
+_BLOCK_CHARS = 8192  # characters read per CSV block, before completing its last line
+
+
+def _measure_from_csv(path: str, head: str, fh: TextIO) -> MassMeasure:
+    """The CSV rows of ``head`` and then of the rest of ``fh``, read a block
+    of whole lines at a time.  A plain block is split by
+    :func:`_plain_block`; every other block goes through
+    :func:`_row_rules`, which states the format."""
+    labels: list[str] = []
+    weights = []
+    block = head + fh.read(_BLOCK_CHARS)
+    while block:
+        if block[-1] != "\n":
+            block += fh.readline()
+        plain = _plain_block(block)
+        if plain is None:
+            weights.append(_row_rules(path, _csv_rows(block, fh), labels))
+        else:
+            labels += plain[0]
+            weights.append(plain[1])
+        block = fh.read(_BLOCK_CHARS)
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    return MassMeasure(labels, np.concatenate(weights))
+
+
+def _plain_block(block: str) -> tuple[list[str], np.ndarray] | None:
+    """The labels and weights of a block of whole lines in which the row
+    rules reduce to "label = cell 0 stripped, weight = float(cell 1)", or
+    None for any other block.
+
+    So it is when no row can be quoted, a comment, blank, a header, over
+    the field size limit or refused by ``csv.reader`` (which rejects NUL
+    before Python 3.11): the block has no ``"``, ``#`` or NUL, it is
+    shorter than ``csv.field_size_limit()``, each of its lines holds
+    exactly one comma, and every weight cell is a number.
+    """
+    if '"' in block or "#" in block or "\0" in block:
+        return None
+    if len(block) >= csv.field_size_limit():
+        return None
+    lines = block.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    n = len(lines)
+    if block.count(",") != n or not all(map(operator.contains, lines, repeat(","))):
+        return None
+    cells = block.replace("\n", ",").split(",")
     try:
-        for row in csv.reader(lines):
+        weights = np.fromiter(map(float, cells[1 : 2 * n : 2]), float, n)
+    except ValueError:
+        return None
+    return list(map(str.strip, cells[0 : 2 * n : 2])), weights
+
+
+def _csv_rows(block: str, fh: TextIO) -> Iterator[list[str]]:
+    """``csv.reader`` rows of the lines of ``block``, and of as many more
+    lines of ``fh`` as it takes to close a quoted field left open at its
+    end."""
+    row_open = False
+
+    def lines() -> Iterator[str]:
+        nonlocal row_open
+        for line in io.StringIO(block):  # split at "\n" only, as a file is
+            row_open = True
+            yield line
+        while row_open and (line := fh.readline()):
+            yield line
+
+    for row in csv.reader(lines()):
+        row_open = False
+        yield row
+
+
+def _row_rules(path: str, rows: Iterator[list[str]], labels: list[str]) -> list[float]:
+    """Apply the row rules to ``rows``, appending each data row's label to
+    ``labels``, which holds those of the rows before, and returning their
+    weights: blank rows and ``#`` comments are skipped, a ``label,weight``
+    header only before the first data row, and every other row must be two
+    cells with a numeric weight."""
+    weights = []
+    try:
+        for row in rows:
             label = row[0].strip() if row else ""
             if not label:
                 if not "".join(row).strip():
@@ -145,9 +225,7 @@ def _measure_from_csv(path: str, lines: Iterator[str]) -> MassMeasure:
             labels.append(label)
     except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if not labels:
-        raise ValueError(f"{path}: no data rows")
-    return MassMeasure(labels, weights)
+    return weights
 
 
 # ---------------------------------------------------------------- options

@@ -36,7 +36,7 @@ class MassMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = tuple(str(l) for l in self.labels)
+        labels = tuple(map(str, self.labels))
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")

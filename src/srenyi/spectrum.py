@@ -370,35 +370,41 @@ def _seeded_start(
     target past the outermost seed (every target, when ``r = 0`` is the
     only seed) is bracketed by that seed and its closed-form bound
     :func:`_root_bound`, and starts at the Newton step from the seed,
-    clipped into that bracket.
+    clipped into that bracket.  The interpolant is evaluated only for the
+    targets between two seeds.
     """
     r_pad = np.concatenate(([-BRACKET_CAP], seeds, [BRACKET_CAP]))
     lp_pad = np.concatenate(([-math.inf], np.maximum.accumulate(seed_lp), [math.inf]))
-    slope_pad = np.concatenate(([math.nan], seed_slope, [math.nan]))
     j = np.searchsorted(lp_pad, log_t)  # lp_pad[j - 1] < ln t <= lp_pad[j]
-    ends, lp = r_pad[[j - 1, j]], lp_pad[[j - 1, j]]
-    inv = (np.abs(ends) > 1.0).all(axis=0)  # ln pi ~ A + B/r there
-    x = np.where(inv, 1.0 / ends, ends)
-    m = np.where(inv, -x * x, 1.0) / slope_pad[[j - 1, j]]  # dx / d ln pi
-    h = lp[1] - lp[0]
-    s = (log_t - lp[0]) / h
-    guess = (
-        x[0] + (2.0 * s - 3.0) * s * s * (x[0] - x[1])
-        + h * s * (1.0 - s) * ((1.0 - s) * m[0] - s * m[1])
-    )
-    inside = (x.min(axis=0) < guess) & (guess < x.max(axis=0))
-    guess = np.where(inside, guess, x[0] + s * (x[1] - x[0]))
-    start = np.where(inv, 1.0 / guess, guess)
-    lo, hi = ends
-    out = np.flatnonzero((j == 1) | (j == r_pad.size - 1))  # past the outermost seed
-    k = np.where(j[out] == 1, 0, -1)
-    near, log_t = seeds[k], log_t[out]
-    bound = _root_bound(log_t, np.where(k == 0, log_min, log_max))
-    bound = np.where(k == 0, -bound, bound)
-    lo[out], hi[out] = np.minimum(bound, near), np.maximum(bound, near)
-    newton = near + (log_t - seed_lp[k]) / seed_slope[k]
-    # fmax, fmin: a 0/0 step (a flat seed meets t) starts at the bound
-    start[out] = np.fmin(np.fmax(newton, lo[out]), hi[out])
+    lo, hi = r_pad[j - 1], r_pad[j]
+    start = np.empty(log_t.size)
+    past = (j == 1) | (j == r_pad.size - 1)  # past the outermost seed
+    mid = np.flatnonzero(~past)
+    if mid.size:
+        k = j[mid]
+        ends, lp = r_pad[[k - 1, k]], lp_pad[[k - 1, k]]
+        inv = (np.abs(ends) > 1.0).all(axis=0)  # ln pi ~ A + B/r there
+        x = np.where(inv, 1.0 / ends, ends)
+        m = np.where(inv, -x * x, 1.0) / seed_slope[[k - 2, k - 1]]  # dx / d ln pi
+        h = lp[1] - lp[0]
+        s = (log_t[mid] - lp[0]) / h
+        guess = (
+            x[0] + (2.0 * s - 3.0) * s * s * (x[0] - x[1])
+            + h * s * (1.0 - s) * ((1.0 - s) * m[0] - s * m[1])
+        )
+        inside = (x.min(axis=0) < guess) & (guess < x.max(axis=0))
+        guess = np.where(inside, guess, x[0] + s * (x[1] - x[0]))
+        start[mid] = np.where(inv, 1.0 / guess, guess)
+    out = np.flatnonzero(past)
+    if out.size:
+        k = np.where(j[out] == 1, 0, -1)
+        near, log_t = seeds[k], log_t[out]
+        bound = _root_bound(log_t, np.where(k == 0, log_min, log_max))
+        bound = np.where(k == 0, -bound, bound)
+        lo[out], hi[out] = np.minimum(bound, near), np.maximum(bound, near)
+        newton = near + (log_t - seed_lp[k]) / seed_slope[k]
+        # fmax, fmin: a 0/0 step (a flat seed meets t) starts at the bound
+        start[out] = np.fmin(np.fmax(newton, lo[out]), hi[out])
     return start, lo, hi
 
 

@@ -217,6 +217,16 @@ class TestSpectrumCommand:
         bad.write_text("{broken")
         assert run(capsys, ["spectrum", str(bad)])[0] == 1
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_json_weight_past_double_range_as_csv(self, capsys, tmp_path, sign):
+        # the integer 10**400 has no double; it reads as CSV's 1e400 does
+        big_json, big_csv = tmp_path / "big.json", tmp_path / "big.csv"
+        big_json.write_text(f'[{{"label": "a", "weight": {sign}1{"0" * 400}}}]')
+        big_csv.write_text(f"a,{sign}1e400\n")
+        expected = (1, "", "srenyi: error: weights must be finite\n")
+        for path in (big_json, big_csv):
+            assert run(capsys, ["spectrum", str(path), "--orders", "named"]) == expected
+
     def test_plot_data_files(self, capsys, ucb_csv, tmp_path):
         prefix = str(tmp_path / "plots" / "ucb")
         (tmp_path / "plots").mkdir()

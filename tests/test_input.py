@@ -1,28 +1,56 @@
 """The CSV/JSON input reader against the reader it replaced.
 
-``read_measure`` streams a file's lines through ``csv.reader`` in one pass;
+``read_measure`` reads a CSV file in blocks of whole lines, about
+``cli._BLOCK_CHARS`` characters each: a plain block is split with str
+methods, and any other goes through ``csv.reader`` and the row rules.
 ``support.reference_read_measure`` is the earlier reader, which parsed an
 ``io.StringIO`` copy of the whole text with ``csv.reader``.  Both must give
 the same labels, bitwise the same weights, and the same first error, on an
-edge corpus and on generated files.  Two differences are intended.  A
-``csv.Error`` (a field over ``csv.field_size_limit()``) is now a
-``ValueError`` naming the file, which the CLI reports with exit code 1.
-And a file is decoded as it is read, so a bad row ahead of an invalid
-UTF-8 byte in a later part of the file is the error reported, where the
-earlier reader decoded everything first.
+edge corpus, on generated files (also at block sizes small enough that
+every row crosses a block end) and on a bench-sized file.  Two differences
+are intended.  A ``csv.Error`` (a field over ``csv.field_size_limit()``)
+is now a ``ValueError`` naming the file, which the CLI reports with exit
+code 1.  And a file is decoded as it is read, so a bad row ahead of an
+invalid UTF-8 byte in a later block of the file is the error reported,
+where the earlier reader decoded everything first.
 """
 
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srenyi import cli
 from srenyi.cli import main, read_measure
 
 from support import reference_read_measure
 
 LONG = "x" * 200_000
+
+
+def second_block(rows: str) -> bytes:
+    """A file whose second block, at the default block size, starts with
+    ``rows``: a header and filler rows end exactly where the first block
+    does."""
+    text = "label,weight\n"
+    end = len(text) + cli._BLOCK_CHARS  # the header is the sniffed first line
+    i = 0
+    while end - len(text) >= 20:
+        text += f"x{i},1\n"
+        i += 1
+    text += "p" * (end - len(text) - 3) + ",2\n"
+    return (text + rows).encode()
+
+
+def straddling_block_end(tail: str) -> bytes:
+    """A file whose rows go on with ``tail``, which opens a quote 5
+    characters before the end of the first block, at the default block
+    size."""
+    rows = second_block("")[:-10].decode()
+    return f"{rows}z1,3\n{tail}".encode()
+
 
 EDGE_CORPUS = {
     "quoted_labels": b'"a,b",1\n"c",2\n',
@@ -42,6 +70,7 @@ EDGE_CORPUS = {
     "one_cell_row": b"a,1\nb\n",
     "three_cell_row": b"a,1\nb,2,3\n",
     "three_cell_row_after_quote": b'a,1\n"b",2\nc,3,4\n',
+    "one_comma_per_line_on_average": b"1,1\n2\n3,4,5\n",
     "bad_weight": b"a,1\nb,one\n",
     "precedence_weight_first": b"a,x\nb,1,2\n",
     "precedence_cells_first": b"a,1,2\nb,x\n",
@@ -61,6 +90,17 @@ EDGE_CORPUS = {
     "bad_utf8_past_first_chunk": b"label,weight\n"
     + b"".join(b"x%d,1\n" % i for i in range(3000))
     + b"\xff,1\n",
+    "quoted_label_straddles_block_end": straddling_block_end('"two\nlines",4\nz2,5\n'),
+    "long_quoted_label_at_block_end": straddling_block_end(
+        '"' + "y" * 10_000 + '",4\nz2,5\n'
+    ),
+    "quoted_label_spans_blocks": straddling_block_end(
+        '"' + "y\n" * 10_000 + '",4\nz2,5\n'
+    ),
+    "quote_open_at_eof_past_block": straddling_block_end('"open,4\nz2,5\n'),
+    "comment_opens_block": second_block("# note,1\ny,2\n"),
+    "blank_row_opens_block": second_block("\n , \ny,2\n"),
+    "late_header_opens_block": second_block("label,weight\ny,2\n"),
 }
 
 
@@ -117,11 +157,35 @@ def test_generated_files_match_reference(tmp_path_factory, data):
     try:
         for limit in (default_limit, 4):
             csv.field_size_limit(limit)
-            assert outcome(read_measure, str(path)) == outcome(
-                reference_read_measure, str(path)
-            ), limit
+            expected = outcome(reference_read_measure, str(path))
+            for block_chars in (cli._BLOCK_CHARS, 1, 7, 64):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(cli, "_BLOCK_CHARS", block_chars)
+                    assert outcome(read_measure, str(path)) == expected, (
+                        limit,
+                        block_chars,
+                    )
     finally:
         csv.field_size_limit(default_limit)
+
+
+def test_bench_sized_file_matches_reference(tmp_path, monkeypatch):
+    # written as the bench writes its spectrum-large input
+    w = np.random.default_rng(1).random(100_000)
+    path = tmp_path / "measure.csv"
+    path.write_text(
+        "label,weight\n" + "".join(f"x{i},{v!r}\n" for i, v in enumerate(w.tolist()))
+    )
+    row_blocks = []
+    row_rules = cli._row_rules
+
+    def counted(*args):
+        row_blocks.append(args)
+        return row_rules(*args)
+
+    monkeypatch.setattr(cli, "_row_rules", counted)
+    assert outcome(read_measure, str(path)) == outcome(reference_read_measure, str(path))
+    assert len(row_blocks) == 1  # only the header's block is not plain
 
 
 @pytest.mark.parametrize("name", ["long_unquoted", "long_quoted"])
