@@ -8,85 +8,20 @@ Everything works on unnormalized mass measures as well, where the whole
 spectrum is rigidly displaced by the log of the total mass.
 """
 
-from .errors import (
-    ConvergenceError,
-    DiscontinuityError,
-    DivergentEscortError,
-    LabelMismatchError,
-    SpectrumConsistencyError,
-    SupportViolationError,
-    TargetOutOfRangeError,
-)
-from .info import (
-    DEFAULT_BASE,
-    EntropyValue,
-    entropy_derivative,
-    equivalent_probability,
-    information_potential,
-    shifted_cross_entropy,
-    shifted_divergence,
-    shifted_entropy,
-    standard_divergence,
-    standard_entropy,
-)
-from .means import (
-    escort_distribution,
-    log_power_mean,
-    power_mean,
-    power_mean_derivative,
-)
-from .measures import (
-    Distribution,
-    MassMeasure,
-    aligned_weights,
-    from_counts,
-    normalize,
-    ratio,
-)
-from .spectrum import (
-    OrderGrid,
-    SpectrumRow,
-    SpectrumTable,
-    invert_probability,
-    recover_distribution_probe,
-    sample_spectrum,
-)
+from . import errors, info, means, measures, spectrum
+from .errors import *
+from .info import *
+from .means import *
+from .measures import *
+from .spectrum import *
 
 __version__ = "0.3.0"
 
 __all__ = [
-    "ConvergenceError",
-    "DiscontinuityError",
-    "DivergentEscortError",
-    "LabelMismatchError",
-    "SpectrumConsistencyError",
-    "SupportViolationError",
-    "TargetOutOfRangeError",
-    "DEFAULT_BASE",
-    "EntropyValue",
-    "entropy_derivative",
-    "equivalent_probability",
-    "information_potential",
-    "shifted_cross_entropy",
-    "shifted_divergence",
-    "shifted_entropy",
-    "standard_divergence",
-    "standard_entropy",
-    "escort_distribution",
-    "log_power_mean",
-    "power_mean",
-    "power_mean_derivative",
-    "Distribution",
-    "MassMeasure",
-    "aligned_weights",
-    "from_counts",
-    "normalize",
-    "ratio",
-    "OrderGrid",
-    "SpectrumRow",
-    "SpectrumTable",
-    "invert_probability",
-    "recover_distribution_probe",
-    "sample_spectrum",
+    *errors.__all__,
+    *info.__all__,
+    *means.__all__,
+    *measures.__all__,
+    *spectrum.__all__,
     "__version__",
 ]

@@ -30,7 +30,7 @@ import operator
 import os
 import sys
 import tempfile
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -44,7 +44,7 @@ from .errors import (
     SupportViolationError,
     TargetOutOfRangeError,
 )
-from .info import _divergence_support
+from .info import DEFAULT_BASE, _check_base, _divergence_support
 from .means import _log_moments, _LogSupport
 from .measures import MassMeasure, normalize
 from .spectrum import OrderGrid, _invert, recover_distribution_probe, sample_spectrum
@@ -114,6 +114,8 @@ def _measure_from_json(path: str, text: str) -> MassMeasure:
         weight = record["weight"]
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise ValueError(f"{path}: record {i}: weight must be a number")
+        if not isinstance(record["label"], str):
+            raise ValueError(f"{path}: record {i}: label must be a string")
         labels.append(record["label"])
         try:
             weights.append(float(weight))
@@ -180,20 +182,14 @@ def _plain_block(block: str) -> tuple[list[str], np.ndarray] | None:
 def _csv_rows(block: str, fh: TextIO) -> Iterator[list[str]]:
     """``csv.reader`` rows of the lines of ``block``, and of as many more
     lines of ``fh`` as it takes to close a quoted field left open at its
-    end."""
-    row_open = False
-
-    def lines() -> Iterator[str]:
-        nonlocal row_open
-        for line in io.StringIO(block):  # split at "\n" only, as a file is
-            row_open = True
-            yield line
-        while row_open and (line := fh.readline()):
-            yield line
-
-    for row in csv.reader(lines()):
-        row_open = False
+    end: the reader takes a further line only to finish a row."""
+    n_lines = block.count("\n") + (block[-1] != "\n")
+    # StringIO splits at "\n" only, as a file is
+    reader = csv.reader(chain(io.StringIO(block), fh))
+    for row in reader:
         yield row
+        if reader.line_num >= n_lines:
+            return
 
 
 def _row_rules(path: str, rows: Iterator[list[str]], labels: list[str]) -> list[float]:
@@ -243,32 +239,22 @@ def parse_orders(text: str | None) -> OrderGrid:
     if text is None:
         return OrderGrid.default()
     s = text.strip()
-    if not s:
-        raise OptionError("empty --orders value")
     if s.lower() == "named":
         return OrderGrid.named()
     try:
         if ":" in s:
             parts = s.split(":")
             if len(parts) != 3:
-                raise OptionError(f"range form must be start:stop:count, got {s!r}")
+                raise ValueError("range form must be start:stop:count")
             start, stop = float(parts[0]), float(parts[1])
             if not (math.isfinite(start) and math.isfinite(stop)):
-                raise OptionError("range endpoints must be finite")
+                raise ValueError("range endpoints must be finite")
             values = OrderGrid.linear(start, stop, int(parts[2])).orders()
-            return OrderGrid.from_values(_snap_zeros(values))
-        values = [_parse_order_token(tok) for tok in s.split(",")]
+        else:
+            values = s.split(",")
         return OrderGrid.from_values(_snap_zeros(values))
-    except OptionError:
-        raise
     except ValueError as exc:
         raise OptionError(f"invalid --orders value {text!r}: {exc}") from exc
-
-
-def _parse_order_token(token: str) -> float:
-    if not token.strip():
-        raise ValueError("empty order token")
-    return float(token)
 
 
 def _snap_zeros(values) -> list[float]:
@@ -279,20 +265,14 @@ def _snap_zeros(values) -> list[float]:
 
 
 def resolve_base(flag_value: str | None) -> float:
-    """Flag beats the RENYI_BASE environment variable beats 2."""
+    """Flag beats the RENYI_BASE environment variable beats DEFAULT_BASE."""
     raw = flag_value if flag_value is not None else os.environ.get(BASE_ENV_VAR)
     if raw is None:
-        return 2.0
-    token = str(raw).strip().lower()
-    if token == "e":
-        return math.e
+        return DEFAULT_BASE
     try:
-        base = float(token)
+        return math.e if raw.strip().lower() == "e" else _check_base(raw)
     except ValueError as exc:
-        raise OptionError(f"invalid base {raw!r}") from exc
-    if math.isnan(base) or math.isinf(base) or not base > 1.0:
-        raise OptionError(f"base must be a finite number > 1, got {raw!r}")
-    return base
+        raise OptionError(f"invalid base {raw!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- output

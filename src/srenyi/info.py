@@ -116,14 +116,14 @@ def shifted_cross_entropy(
 def standard_entropy(m: MassMeasure, alpha: float, base: float = DEFAULT_BASE) -> EntropyValue:
     """Classical-order Renyi entropy; delegates to ``shifted_entropy`` at
     ``r = alpha - 1`` and is bitwise identical to it there."""
-    return shifted_entropy(m, _check_order(alpha) - 1.0, base)
+    return shifted_entropy(m, float(alpha) - 1.0, base)
 
 
 def standard_divergence(
     p: MassMeasure, q: MassMeasure, alpha: float, base: float = DEFAULT_BASE
 ) -> EntropyValue:
     """Classical-order Renyi divergence at ``r = alpha - 1``."""
-    return shifted_divergence(p, q, _check_order(alpha) - 1.0, base)
+    return shifted_divergence(p, q, float(alpha) - 1.0, base)
 
 
 def equivalent_probability(m: MassMeasure, r: float) -> float:
@@ -145,8 +145,6 @@ def information_potential(m: MassMeasure, r: float) -> float:
     r = _check_order(r)
     if math.isinf(r):
         raise ValueError("the information potential needs a finite order")
-    if r == 0.0:
-        return 1.0
     with np.errstate(over="ignore"):
         return float(np.exp(r * _LogSupport(m.weights, m.weights).log_mean(r)))
 

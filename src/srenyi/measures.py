@@ -102,8 +102,6 @@ def from_counts(labels: Sequence[str], counts: Sequence[int]) -> MassMeasure:
     c = np.asarray(counts, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("counts must be a non-empty one-dimensional sequence")
-    if np.isnan(c).any() or np.isinf(c).any():
-        raise ValueError("counts must be finite")
     if (c < 0).any():
         raise ValueError("counts must be non-negative")
     if (c != np.floor(c)).any():

@@ -160,14 +160,21 @@ class SpectrumTable:
                     neighbour=a.order,
                     residual=drop,
                 )
+        ln_b, tiny = math.log(self.base), math.ulp(0.0)
         for row in self.rows:
-            expected = self.base ** (-row.entropy.value)
-            if not math.isclose(row.equiv_prob, expected, rel_tol=1e-10):
+            # in logs, as base**(-entropy) can overflow; below the doubles both
+            # read as the least, and pi is good to 1e-10 or two of its spacings
+            p = max(row.equiv_prob, tiny)  # NaN stays NaN
+            got = math.log(p)
+            expected = max(-row.entropy.value * ln_b, math.log(tiny))
+            if got != expected and not abs(got - expected) <= max(1e-10, 2.0 * math.ulp(p) / p):
+                with np.errstate(over="ignore"):
+                    miss = float(np.expm1(got - expected))
                 raise SpectrumConsistencyError(
-                    f"row at order {row.order}: equiv_prob {row.equiv_prob} "
-                    f"vs base**(-entropy) {expected}",
+                    f"row at order {row.order}: equiv_prob {row.equiv_prob} is "
+                    f"{miss!r} (relative) off base**(-entropy)",
                     order=row.order,
-                    residual=(row.equiv_prob - expected) / expected,
+                    residual=miss,
                 )
             if row.derivative is not None and row.derivative > 0.0:
                 raise SpectrumConsistencyError(
@@ -211,7 +218,7 @@ def sample_spectrum(
         log_mean, slope = next(finite)
         with np.errstate(over="ignore"):
             prob = float(np.exp(log_mean))
-            potential = 1.0 if r == 0.0 else float(np.exp(r * log_mean))
+            potential = float(np.exp(r * log_mean))
         entropy = EntropyValue(-log_mean / ln_b, base, r)
         rows.append(SpectrumRow(r, entropy, prob, potential, min(0.0, -slope / ln_b)))
     table = SpectrumTable(tuple(rows), base, m.total)

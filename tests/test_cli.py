@@ -162,6 +162,21 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, ["spectrum", ucb_csv])
         assert code == 2 and "base" in err
 
+    @pytest.mark.parametrize("base", ["1", "nan", "inf", "x"])
+    def test_bad_base_exit_2(self, capsys, ucb_csv, monkeypatch, base):
+        code, out, err = run(capsys, ["spectrum", ucb_csv, "--base", base])
+        assert (code, out) == (2, "") and f"invalid base {base!r}" in err
+        monkeypatch.setenv("RENYI_BASE", base)
+        assert run(capsys, ["spectrum", ucb_csv]) == (code, out, err)
+
+    def test_largest_double_weight(self, capsys, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("a,1.7976931348623157e308\n")
+        code, out, err = run(capsys, ["spectrum", str(big), "--orders", "named"])
+        assert (code, err) == (0, "")
+        _, data = parse_csv_table(out)
+        assert [row[1] for row in data] == ["-1024.0"] * 5
+
     def test_order_snapping(self, capsys, ucb_csv):
         """Orders within 1e-12 of zero are snapped to the exact geometric
         branch at the CLI boundary."""
@@ -189,7 +204,7 @@ class TestSpectrumCommand:
         assert [row[0] for row in data] == ["-2.0", "-1.0", "0.0", "1.0", "2.0"]
 
     def test_invalid_orders_exit_2(self, capsys, ucb_csv):
-        for bad in ("1,2,nope", "", "1:2", "1:2:0", ":", "nan"):
+        for bad in ("1,2,nope", "", "1:2", "1:2:0", ":", "nan", "1,,2", "1, ,2"):
             code, _, err = run(capsys, ["spectrum", ucb_csv, "--orders", bad])
             assert code == 2, bad
 
@@ -216,6 +231,14 @@ class TestSpectrumCommand:
         assert run(capsys, ["spectrum", str(bad)])[0] == 1
         bad.write_text("{broken")
         assert run(capsys, ["spectrum", str(bad)])[0] == 1
+
+    @pytest.mark.parametrize("label", ["null", "1", "1.5", "true", '["a"]'])
+    def test_json_label_must_be_a_string(self, capsys, tmp_path, label):
+        # CSV labels are always text; a JSON 1 must not pass as, or clash with, "1"
+        path = tmp_path / "labels.json"
+        path.write_text(f'[{{"label": "1", "weight": 2}}, {{"label": {label}, "weight": 1}}]')
+        expected = f"srenyi: error: {path}: record 1: label must be a string\n"
+        assert run(capsys, ["spectrum", str(path)]) == (1, "", expected)
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_json_weight_past_double_range_as_csv(self, capsys, tmp_path, sign):

@@ -16,6 +16,7 @@ where the earlier reader decoded everything first.
 """
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -215,3 +216,14 @@ def test_row_error_before_bad_utf8_is_reported_first(tmp_path, capsys):
         f"srenyi: error: {path}: expected 'label,weight' rows, "
         "got 3 cells: ['b', '1', '2']\n"
     )
+
+
+def test_csv_rows_read_past_the_block_only_to_close_a_quote():
+    rest = io.StringIO("b,2\nc,3\n")
+    assert list(cli._csv_rows("a,1\n\n", rest)) == [["a", "1"], []]
+    assert rest.read() == "b,2\nc,3\n"
+    rest = io.StringIO('y",2\nc,3\n')
+    assert list(cli._csv_rows('a,1\n"x\n', rest)) == [["a", "1"], ["x\ny", "2"]]
+    assert rest.read() == "c,3\n"
+    # the last block of a file may end without a newline
+    assert list(cli._csv_rows('a,1\n"b",2', io.StringIO())) == [["a", "1"], ["b", "2"]]

@@ -48,6 +48,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="counts must be integers"):
             from_counts(("a", "b"), (1, 1.5))
 
+    def test_non_finite_counts(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                from_counts(("a", "b"), (1, bad))
+
     def test_duplicate_labels_are_found_in_one_pass(self):
         labels = [f"x{i}" for i in range(30_000)]
         labels[-1] = "x0"

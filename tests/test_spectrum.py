@@ -206,6 +206,46 @@ class TestValidateFailures:
         assert (err.order, err.neighbour, err.residual) == (0.5, None, 0.25)
 
 
+class TestValidateAtTheEdgesOfTheDoubles:
+    """``validate`` compares ``equiv_prob`` with ``base**(-entropy)`` in
+    logs, so a valid measure whose ``base**(-entropy)`` lies past the
+    doubles, or whose probabilities are subnormal, passes."""
+
+    @staticmethod
+    def _row(entropy, prob):
+        return SpectrumRow(0.0, EntropyValue(entropy, 2.0, 0.0), prob, None, None)
+
+    def test_largest_double_weight(self):
+        m = MassMeasure(("a",), [1.7976931348623157e308])
+        table = sample_spectrum(m, OrderGrid.named())
+        assert table.entropies() == (-1024.0,) * 5
+
+    @pytest.mark.parametrize("w", [1e-320, 3.3e-321, 1.23456e-315, 5e-324])
+    def test_subnormal_weights(self, w):
+        for weights in ([w, w / 3], [w, 2 * w, w / 2], [w, w / 7, w / 11]):
+            m = MassMeasure(tuple("abc"[: len(weights)]), weights)
+            sample_spectrum(m, OrderGrid.named())
+
+    @pytest.mark.parametrize(
+        "entropy, prob",
+        [(INF, 0.0), (-INF, INF), (2000.0, 0.0), (-1024.0, 1.7976931348622732e308)],
+    )
+    def test_probability_past_the_doubles(self, entropy, prob):
+        SpectrumTable((self._row(entropy, prob),), 2.0, 1.0).validate()
+
+    @pytest.mark.parametrize(
+        "entropy, prob, residual",
+        [(5.0, 0.0, -1.0), (math.nan, 0.5, None), (1.0, math.nan, None), (1.0, 0.5 * (1 + 2e-10), 2e-10)],
+    )
+    def test_inconsistent_rows_still_fail(self, entropy, prob, residual):
+        with pytest.raises(SpectrumConsistencyError) as exc:
+            SpectrumTable((self._row(entropy, prob),), 2.0, 1.0).validate()
+        if residual is None:
+            assert math.isnan(exc.value.residual)
+        else:
+            assert_allclose(exc.value.residual, residual, rtol=1e-6)
+
+
 class TestInvertProbability:
     def test_uniform_prefers_order_zero(self, uniform6):
         assert invert_probability(uniform6, 1 / 6) == 0.0
