@@ -15,9 +15,10 @@ like ``r = 50`` on probability-sized values survive double precision where
 the direct sum would overflow or underflow; tiny orders switch to
 expm1/log1p (and ultimately series) evaluations that stay accurate through
 the geometric limit.  Entries with zero weight are dropped before
-anything else happens; values may be ``0`` or ``+inf``, weights must be
-finite and non-negative with a positive, finite total; the four public
-functions check this once, and the kernel behind them trusts it.
+anything else happens.  Weights obey the rules that ``MassMeasure`` uses
+too, stated once in ``_check_weights``; values must be non-negative and not
+NaN (``0`` and ``+inf`` are allowed).  The four public functions check this
+once, and the kernel behind them trusts it.
 
 There is deliberately no epsilon snapping here: ``r = 1e-300`` is a power
 mean, not a geometric mean.  Callers that want to round near-zero orders do
@@ -43,26 +44,41 @@ __all__ = [
 ArrayLike = Sequence[float] | np.ndarray
 
 
-def _as_weight_value_arrays(weights: ArrayLike, values: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+def _check_weights(weights: ArrayLike) -> np.ndarray:
+    """``weights`` as a float array (not copied if it already is one),
+    checked against the weight rules of every input path: one-dimensional,
+    not empty, no NaN, finite, non-negative, at least one positive, and a
+    finite total."""
     w = np.asarray(weights, dtype=float)
-    x = np.asarray(values, dtype=float)
-    if w.ndim != 1 or x.ndim != 1:
-        raise ValueError("weights and values must be one-dimensional")
-    if w.shape != x.shape:
-        raise ValueError(f"length mismatch: {w.size} weights vs {x.size} values")
+    if w.ndim != 1:
+        raise ValueError("weights must be one-dimensional")
     if w.size == 0:
-        raise ValueError("need at least one (weight, value) pair")
-    if np.isnan(w).any() or np.isnan(x).any():
-        raise ValueError("NaN entries are not allowed")
+        raise ValueError("measure must have at least one outcome")
+    if np.isnan(w).any():
+        raise ValueError("weights must not be NaN")
     if np.isinf(w).any():
         raise ValueError("weights must be finite")
-    if (w < 0).any() or (x < 0).any():
-        raise ValueError("weights and values must be non-negative")
+    if (w < 0).any():
+        raise ValueError("weights must be non-negative")
     if not (w > 0).any():
-        raise ValueError("total weight must be positive")
+        raise ValueError("at least one weight must be positive")
     with np.errstate(over="ignore"):
         if not np.isfinite(w.sum()):
             raise ValueError("total weight must be finite")
+    return w
+
+
+def _as_weight_value_arrays(weights: ArrayLike, values: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    w = _check_weights(weights)
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if w.shape != x.shape:
+        raise ValueError(f"length mismatch: {w.size} weights vs {x.size} values")
+    if np.isnan(x).any():
+        raise ValueError("values must not be NaN")
+    if (x < 0).any():
+        raise ValueError("values must be non-negative")
     return w, x
 
 
@@ -108,13 +124,14 @@ class _LogSupport:
     ``scale`` (the largest finite ``|ln x|``) selects the branch of
     :func:`_log_moments` at each order without another pass over the data,
     and ``spread`` (the largest minus the smallest finite ``ln x``) the
-    branch of :func:`_log_mean_slope`.  The arrays are trusted as a
-    ``MassMeasure`` or the raw-array check leaves them, and are not
-    validated again.
+    branch of :func:`_log_mean_slope`; ``log_lo`` and ``log_hi`` are
+    ``ln min x`` and ``ln max x``, the range of every ``ln M_r``.  The
+    arrays are trusted as a ``MassMeasure`` or the raw-array check leaves
+    them, and are not validated again.
     """
 
     __slots__ = ("values", "norm_w", "log_w", "log_x", "finite", "scale", "spread",
-                 "_cumulants")
+                 "log_lo", "log_hi", "_cumulants")
 
     def __init__(self, weights: np.ndarray, values: np.ndarray):
         mask = weights > 0
@@ -125,6 +142,7 @@ class _LogSupport:
         self.log_w = np.log(w) - math.log(total)
         with np.errstate(divide="ignore"):
             self.log_x = np.log(x)
+        self.log_lo, self.log_hi = float(self.log_x.min()), float(self.log_x.max())
         finite = np.isfinite(self.log_x)
         self.finite = bool(finite.all())
         logs = self.log_x if self.finite else self.log_x[finite]
@@ -226,7 +244,7 @@ def _log_moments(
     zero, series, lse, near = [], [], [], []
     for i, r in enumerate(rs.tolist()):
         if math.isinf(r):
-            log_mean[i] = log_x.max() if r > 0 else log_x.min()
+            log_mean[i] = s.log_hi if r > 0 else s.log_lo
         elif r == 0.0:
             zero.append(i)
         elif abs(r) * s.scale > 1.0:
@@ -257,6 +275,10 @@ def _log_moments(
         log_mean[idx] = _expm1_pass(s, rs[idx])
         if escort:
             escort_mean[idx] = _log_sum_exp_pass(s, rs[idx], escort=True)[1]
+    # a power mean lies between the extreme values, which rounding alone
+    # can carry ln M_r an ulp past
+    np.maximum(log_mean, s.log_lo, out=log_mean)
+    np.minimum(log_mean, s.log_hi, out=log_mean)
     return log_mean, escort_mean
 
 

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LabelMismatchError, SupportViolationError
+from .means import _check_weights
 
 __all__ = [
     "MassMeasure",
@@ -27,9 +28,10 @@ class MassMeasure:
     """Finite non-negative weights attached to unique string labels.
 
     Weights need not sum to one; at least one must be positive and their
-    total finite.  Code that takes a measure trusts this.  The weight
-    array is stored as a read-only float64 copy, so instances are safe to
-    share.
+    total finite.  The labels are checked first, then the weight rules that
+    the raw-array means share (``means._check_weights``).  Code that takes
+    a measure trusts this.  The weight array is stored as a read-only
+    float64 copy, so instances are safe to share.
     """
 
     labels: tuple[str, ...]
@@ -38,26 +40,12 @@ class MassMeasure:
     def __post_init__(self) -> None:
         labels = tuple(map(str, self.labels))
         w = np.array(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("weights must be one-dimensional")
         if len(labels) != w.size:
             raise ValueError(f"{len(labels)} labels for {w.size} weights")
-        if w.size == 0:
-            raise ValueError("measure must have at least one outcome")
         if len(set(labels)) != len(labels):
             dupes = sorted(l for l, count in Counter(labels).items() if count > 1)
             raise ValueError(f"duplicate labels: {dupes}")
-        if np.isnan(w).any():
-            raise ValueError("weights must not be NaN")
-        if np.isinf(w).any():
-            raise ValueError("weights must be finite")
-        if (w < 0).any():
-            raise ValueError("weights must be non-negative")
-        if not (w > 0).any():
-            raise ValueError("at least one weight must be positive")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(w.sum()):
-                raise ValueError("total weight must be finite")
+        _check_weights(w)
         w.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", w)
@@ -96,18 +84,13 @@ class Distribution(MassMeasure):
 def from_counts(labels: Sequence[str], counts: Sequence[int]) -> MassMeasure:
     """Build a MassMeasure from non-negative integer counts.
 
-    Integer totals are exact up to 2**53, so downstream normalization
-    divides by the true total.
+    Only the integer rule is checked here; the shape, sign and positivity
+    rules are the measure's.  Integer totals are exact up to 2**53, so
+    downstream normalization divides by the true total.
     """
     c = np.asarray(counts, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("counts must be a non-empty one-dimensional sequence")
-    if (c < 0).any():
-        raise ValueError("counts must be non-negative")
     if (c != np.floor(c)).any():
         raise ValueError("counts must be integers")
-    if not (c > 0).any():
-        raise ValueError("at least one count must be positive")
     return MassMeasure(tuple(labels), c)
 
 

@@ -52,9 +52,8 @@ class OrderGrid:
 
     def __post_init__(self) -> None:
         finite = tuple(float(r) for r in self.finite_orders)
-        for r in finite:
-            if math.isnan(r) or math.isinf(r):
-                raise ValueError("finite_orders must be finite numbers")
+        if not all(map(math.isfinite, finite)):
+            raise ValueError("orders must not be NaN, and -inf/+inf only flank the grid")
         if any(prev >= nxt for prev, nxt in zip(finite, finite[1:])):
             raise ValueError("orders must be strictly increasing, without duplicates")
         if not finite and not (self.include_neg_inf or self.include_pos_inf):
@@ -65,9 +64,7 @@ class OrderGrid:
     def from_values(cls, values: Iterable[float]) -> "OrderGrid":
         """Sort, deduplicate, and split off the infinities."""
         vals = [float(v) for v in values]
-        if any(math.isnan(v) for v in vals):
-            raise ValueError("orders must not be NaN")
-        finite = sorted({v for v in vals if math.isfinite(v)})
+        finite = sorted({v for v in vals if not math.isinf(v)})
         return cls(
             tuple(finite),
             include_neg_inf=any(v == -math.inf for v in vals),

@@ -110,7 +110,19 @@ def reference_log_moments(weights, values, r, escort=False):
     log-sum-exp branch, ``sum(w_hat * expm1(r ln x))`` near order zero, with
     the same branch thresholds as the library kernel.  The escort comes from
     the shifted exponential pass and is None at +-inf, at ``r = 0`` and in
-    the subnormal series.  Every temporary is a fresh array."""
+    the subnormal series.  Every temporary is a fresh array.
+
+    A power mean lies between the smallest and the largest value on the
+    support, so ``ln M_r`` is bounded into ``[min ln x, max ln x]``, which
+    rounding alone can overshoot by an ulp."""
+    log_mean, escort_mean = _unbounded_log_moments(weights, values, r, escort)
+    w = np.asarray(weights, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_x = np.log(np.asarray(values, dtype=float)[w > 0])
+    return min(max(log_mean, float(log_x.min())), float(log_x.max())), escort_mean
+
+
+def _unbounded_log_moments(weights, values, r, escort):
     w = np.asarray(weights, dtype=float)
     x = np.asarray(values, dtype=float)
     w, x = w[w > 0], x[w > 0]

@@ -176,6 +176,11 @@ class TestSpectrumCommand:
         assert (code, err) == (0, "")
         _, data = parse_csv_table(out)
         assert [row[1] for row in data] == ["-1024.0"] * 5
+        # on the default grid ln M_r once rounded an ulp past ln x, so pi_r
+        # overflowed on one row and the spectrum failed validation
+        code, out, err = run(capsys, ["spectrum", str(big)])
+        assert (code, err) == (0, "")
+        assert len(parse_csv_table(out)[1]) == len(srenyi.OrderGrid.default())
 
     def test_order_snapping(self, capsys, ucb_csv):
         """Orders within 1e-12 of zero are snapped to the exact geometric
@@ -204,8 +209,8 @@ class TestSpectrumCommand:
         assert [row[0] for row in data] == ["-2.0", "-1.0", "0.0", "1.0", "2.0"]
 
     def test_invalid_orders_exit_2(self, capsys, ucb_csv):
-        for bad in ("1,2,nope", "", "1:2", "1:2:0", ":", "nan", "1,,2", "1, ,2"):
-            code, _, err = run(capsys, ["spectrum", ucb_csv, "--orders", bad])
+        for bad in ("1,2,nope", "", "1:2", "1:2:0", ":", "nan", "1,,2", "1, ,2", "-inf:0:3"):
+            code, _, err = run(capsys, ["spectrum", ucb_csv, f"--orders={bad}"])
             assert code == 2, bad
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
@@ -230,6 +235,8 @@ class TestSpectrumCommand:
         bad.write_text('[{"label": "a", "weight": "lots"}]')
         assert run(capsys, ["spectrum", str(bad)])[0] == 1
         bad.write_text("{broken")
+        assert run(capsys, ["spectrum", str(bad)])[0] == 1
+        bad.write_text("[]")
         assert run(capsys, ["spectrum", str(bad)])[0] == 1
 
     @pytest.mark.parametrize("label", ["null", "1", "1.5", "true", '["a"]'])
@@ -267,13 +274,25 @@ class TestSpectrumCommand:
         assert entropy[0, 0] == -1.0 and entropy[-1, 0] == 1.0
         assert_allclose(entropy[:, 1], np.sort(entropy[:, 1])[::-1], rtol=0)
 
-    def test_no_plot_files_on_failure(self, capsys, ucb_csv, tmp_path):
+    def test_no_plot_files_on_failure(self, capsys, ucb_csv, tmp_path, monkeypatch):
         prefix = str(tmp_path / "out")
         code, _, _ = run(
             capsys, ["spectrum", ucb_csv, "--orders", "junk", "--plot-data", prefix]
         )
         assert code == 2
         assert not list(tmp_path.glob("out_*"))
+
+        # a write that fails at the rename leaves neither file nor temp file
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, _, _ = run(
+            capsys, ["spectrum", ucb_csv, "--orders", "named", "--plot-data", prefix]
+        )
+        assert code == 1
+        assert not list(tmp_path.glob("out_*"))
+        assert not list(tmp_path.glob(".srenyi-tmp-*"))
 
 
 class TestDivergenceCommand:

@@ -111,25 +111,29 @@ class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch: 2 weights vs 3 values"):
             power_mean([1, 2], [1, 2, 3], 1.0)
+        with pytest.raises(ValueError, match="weights must be one-dimensional"):
+            power_mean([[1, 2]], [1, 2], 1.0)
+        with pytest.raises(ValueError, match="values must be one-dimensional"):
+            power_mean([1, 2], [[1, 2]], 1.0)
 
     def test_empty(self):
-        with pytest.raises(ValueError, match=r"need at least one \(weight, value\) pair"):
+        with pytest.raises(ValueError, match="measure must have at least one outcome"):
             power_mean([], [], 1.0)
 
     def test_all_zero_weights(self):
-        with pytest.raises(ValueError, match="total weight must be positive"):
+        with pytest.raises(ValueError, match="at least one weight must be positive"):
             power_mean([0, 0], [1, 2], 1.0)
 
     def test_negative_weight(self):
-        with pytest.raises(ValueError, match="weights and values must be non-negative"):
+        with pytest.raises(ValueError, match="weights must be non-negative"):
             power_mean([1, -1], [1, 2], 1.0)
 
     def test_negative_value(self):
-        with pytest.raises(ValueError, match="weights and values must be non-negative"):
+        with pytest.raises(ValueError, match="values must be non-negative"):
             power_mean([1, 1], [1, -2], 1.0)
 
     def test_nan(self):
-        with pytest.raises(ValueError, match="NaN entries are not allowed"):
+        with pytest.raises(ValueError, match="values must not be NaN"):
             power_mean([1, 1], [1, math.nan], 1.0)
         with pytest.raises(ValueError, match="order must not be NaN"):
             power_mean([1, 1], [1, 2], math.nan)
@@ -155,8 +159,9 @@ class TestValidation:
 
 
 class TestRawArrayCheckRunsOnlyAtTheBoundary:
-    """The raw-array check runs once per call of a raw-array function, and
-    never behind a function that takes an already validated measure."""
+    """The raw-array check and the weight rules behind it run once per call
+    of a raw-array function or construction of a measure, and never behind
+    a function that takes an already validated measure."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -168,6 +173,19 @@ class TestRawArrayCheckRunsOnlyAtTheBoundary:
             return check(weights, values)
 
         monkeypatch.setattr(srenyi.means, "_as_weight_value_arrays", counting)
+        return calls
+
+    @pytest.fixture
+    def weight_checks(self, monkeypatch):
+        calls = []
+        check = srenyi.means._check_weights
+
+        def counting(weights):
+            calls.append(len(weights))
+            return check(weights)
+
+        for module in (srenyi.means, srenyi.measures):
+            monkeypatch.setattr(module, "_check_weights", counting)
         return calls
 
     MEASURE_FUNCTIONS = {
@@ -183,22 +201,60 @@ class TestRawArrayCheckRunsOnlyAtTheBoundary:
     }
 
     @pytest.mark.parametrize("name", sorted(MEASURE_FUNCTIONS))
-    def test_measure_functions_never_check(self, calls, name, ucb_counts):
+    def test_measure_functions_never_check(self, calls, weight_checks, name, ucb_counts):
         q = srenyi.from_counts(ucb_counts.labels[::-1], (1, 2, 3, 4, 5, 6))
+        assert weight_checks[-1:] == [6]  # building q checked its weights
+        weight_checks.clear()
         self.MEASURE_FUNCTIONS[name](ucb_counts, q)
         assert calls == []
+        assert weight_checks == []
 
-    def test_divergence_command_never_checks(self, calls, capsys, tmp_path):
+    def test_divergence_command_never_checks(self, calls, weight_checks, capsys, tmp_path):
         p, q = tmp_path / "p.csv", tmp_path / "q.csv"
         p.write_text("a,1\nb,2\nc,0\n")
         q.write_text("c,1\nb,1\na,3\n")
         assert main(["divergence", str(p), str(q)]) == 0
         assert capsys.readouterr().out
         assert calls == []
+        assert weight_checks == [3, 3]  # once per file read, nowhere after
 
-    def test_log_power_mean_checks_once(self, calls):
+    def test_log_power_mean_checks_once(self, calls, weight_checks):
         log_power_mean([1.0, 2.0, 0.0], [0.5, 0.25, 0.25], 0.5)
         assert calls == [3]
+        assert weight_checks == [3]
+
+
+class TestOneMessagePerWeightRule:
+    """A measure, counts and the raw-array means obey one statement of the
+    weight rules, so each bad weight vector draws the same message from
+    all three (from counts only where the vector is integral)."""
+
+    BAD_WEIGHTS = {
+        "nan": ([1.0, math.nan], "weights must not be NaN"),
+        "inf": ([1.0, INF], "weights must be finite"),
+        "-inf": ([1.0, -INF], "weights must be finite"),
+        "negative": ([1.0, -2.0], "weights must be non-negative"),
+        "all zero": ([0.0, 0.0], "at least one weight must be positive"),
+        "overflowing total": ([1e308, 1e308], "total weight must be finite"),
+        "2-D": ([[1.0, 2.0]], "weights must be one-dimensional"),
+        "empty": ([], "measure must have at least one outcome"),
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_WEIGHTS))
+    def test_same_message_everywhere(self, name):
+        weights, message = self.BAD_WEIGHTS[name]
+        w = np.array(weights, dtype=float)
+        labels = tuple(f"x{i}" for i in range(w.size))
+        raisers = [
+            lambda: srenyi.MassMeasure(labels, w),
+            lambda: power_mean(w, np.ones(w.shape), 1.0),
+        ]
+        if (w == np.floor(w)).all():
+            raisers.append(lambda: srenyi.from_counts(labels, w))
+        for raiser in raisers:
+            with pytest.raises(ValueError) as exc:
+                raiser()
+            assert str(exc.value) == message
 
 
 class TestLogDomainStability:
@@ -554,6 +610,27 @@ class TestKernelIsTheOutOfPlaceFormula:
                 with np.errstate(over="ignore"):
                     got, want = self.one_order(support, r), reference_log_moments(w, x, r)
                 assert _bits(got) == _bits(want), (x, r)
+
+    def test_log_mean_stays_between_extreme_values(self):
+        """``min ln x <= ln M_r <= max ln x`` at every default-grid order,
+        however the kernel rounds: on 2000 random supports of 1-5 points
+        spread over the doubles, and on one-point supports at their ends."""
+        rng = np.random.default_rng(14)
+        orders = OrderGrid.default().orders()
+        supports = [
+            (np.ones(1), np.array([x]))
+            for x in (np.finfo(float).max, np.finfo(float).tiny, 5e-324)
+        ]
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            w = rng.uniform(0.0, 1.0, n)
+            w[0] = 1.0
+            supports.append((w, np.exp(rng.uniform(-700.0, 700.0, n))))
+        for w, x in supports:
+            log_mean = _log_moments(_LogSupport(w, x), orders)[0]
+            log_x = np.log(x)
+            outside = (log_mean < log_x.min()) | (log_mean > log_x.max())
+            assert not outside.any(), (x, np.asarray(orders)[outside])
 
     @pytest.mark.parametrize("n", [6, 200, 10**5])
     def test_many_orders_per_call(self, n):

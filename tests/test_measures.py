@@ -37,13 +37,13 @@ class TestConstruction:
         assert normalize(m).weights[0] == 1.0
 
     def test_rejections(self):
-        with pytest.raises(ValueError, match="counts must be a non-empty one-dimensional sequence"):
+        with pytest.raises(ValueError, match="measure must have at least one outcome"):
             from_counts((), ())
-        with pytest.raises(ValueError, match="at least one count must be positive"):
+        with pytest.raises(ValueError, match="at least one weight must be positive"):
             from_counts(("a", "b"), (0, 0))
         with pytest.raises(ValueError, match=r"duplicate labels: \['a'\]"):
             from_counts(("a", "a"), (1, 2))
-        with pytest.raises(ValueError, match="counts must be non-negative"):
+        with pytest.raises(ValueError, match="weights must be non-negative"):
             from_counts(("a", "b"), (1, -2))
         with pytest.raises(ValueError, match="counts must be integers"):
             from_counts(("a", "b"), (1, 1.5))
@@ -72,6 +72,10 @@ class TestConstruction:
             MassMeasure(("a", "b"), np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="1 labels for 2 weights"):
             MassMeasure(("a",), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="weights must be one-dimensional"):
+            MassMeasure(("a", "b"), np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="measure must have at least one outcome"):
+            MassMeasure((), np.array([]))
 
     def test_overflowing_total_is_rejected(self):
         # each weight is finite but the total is not; the entropy of such a

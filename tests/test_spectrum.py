@@ -41,6 +41,7 @@ class TestOrderGrid:
         grid = OrderGrid((-1.0, 0.0, 2.0), include_neg_inf=True, include_pos_inf=True)
         assert grid.orders() == (-INF, -1.0, 0.0, 2.0, INF)
         assert len(grid) == 5
+        assert tuple(grid) == grid.orders()
 
     def test_strictly_increasing_enforced(self):
         with pytest.raises(ValueError):
@@ -68,6 +69,9 @@ class TestOrderGrid:
         assert OrderGrid.linear(-1.0, 1.0, 5).finite_orders == (-1.0, -0.5, 0.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             OrderGrid.linear(0.0, 1.0, 0)
+        assert OrderGrid.linear(2.0, 2.0, 1).orders() == (2.0,)
+        with pytest.raises(ValueError, match="a single-point grid needs start == stop"):
+            OrderGrid.linear(0.0, 1.0, 1)
 
     def test_default_is_symmetric_and_anchored(self):
         grid = OrderGrid.default()
