@@ -72,10 +72,12 @@ def read_measure(path: str) -> MassMeasure:
 
     The format is sniffed from the extension or the first non-blank
     character; the lines up to it are kept, and the rest of the file is
-    read a block of whole lines at a time (CSV) or at once (JSON).
+    read a block of whole lines at a time (CSV) or at once (JSON).  A UTF-8
+    byte-order mark at the start of the file, as spreadsheets write one, is
+    dropped.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             head = []
             for line in fh:
                 head.append(line)

@@ -153,15 +153,13 @@ def entropy_derivative(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> 
     """d/dr of the entropy spectrum ``r -> H_r(m)`` at finite ``r``.
 
     ``H_r = -ln M_r(w_hat, w) / ln(b)``, so this is ``-slope / ln(b)`` with
-    the library's one slope ``d ln M_r / dr`` (``srenyi.means``, where
-    ``SLOPE_SERIES_RADIUS`` lives too).  Away from ``r = 0`` it is the
-    closed form ``-(1/r**2) * D_0(escort_r || p) / ln(b)``, with the order-0
-    divergence of the self-escort, which makes the sign explicit: the
-    spectrum never increases, so the result is always <= 0.  Within
-    ``|r| * (max ln p - min ln p) <= SLOPE_SERIES_RADIUS``, where that
-    cancels, the cumulant series of ``ln p`` under ``p`` is used instead,
-    ``-(k_2/2 + r k_3/3 + r**2 k_4/8) / ln(b)``, which at ``r = 0`` is the
-    exact ``-Var_p(ln p) / (2 ln b)``.
+    the library's one slope ``d ln M_r / dr`` (``srenyi.means``), here
+    ``-(1/r**2) * D_0(escort_r || p) / ln(b)`` with the order-0 divergence
+    of the self-escort, which makes the sign explicit: the spectrum never
+    increases, so the result is always <= 0.  It comes from the escort
+    closed form where its rounding is small, and from a sum of non-negative
+    terms elsewhere, ``r = 0`` included, where it is the exact
+    ``-Var_p(ln p) / (2 ln b)``.
     """
     r = _check_order(r)
     if math.isinf(r):

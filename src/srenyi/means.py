@@ -122,16 +122,13 @@ class _LogSupport:
     logs, and the logs of the values, all on the positive-weight support.
 
     ``scale`` (the largest finite ``|ln x|``) selects the branch of
-    :func:`_log_moments` at each order without another pass over the data,
-    and ``spread`` (the largest minus the smallest finite ``ln x``) the
-    branch of :func:`_log_mean_slope`; ``log_lo`` and ``log_hi`` are
-    ``ln min x`` and ``ln max x``, the range of every ``ln M_r``.  The
-    arrays are trusted as a ``MassMeasure`` or the raw-array check leaves
-    them, and are not validated again.
+    :func:`_log_moments` at each order without another pass over the data;
+    ``log_lo`` and ``log_hi`` are ``ln min x`` and ``ln max x``, the range
+    of every ``ln M_r``.  The arrays are trusted as a ``MassMeasure`` or the
+    raw-array check leaves them, and are not validated again.
     """
 
-    __slots__ = ("values", "norm_w", "log_w", "log_x", "finite", "scale", "spread",
-                 "log_lo", "log_hi", "_cumulants")
+    __slots__ = ("values", "norm_w", "log_w", "log_x", "finite", "scale", "log_lo", "log_hi")
 
     def __init__(self, weights: np.ndarray, values: np.ndarray):
         mask = weights > 0
@@ -146,10 +143,7 @@ class _LogSupport:
         finite = np.isfinite(self.log_x)
         self.finite = bool(finite.all())
         logs = self.log_x if self.finite else self.log_x[finite]
-        lo, hi = (float(logs.min()), float(logs.max())) if logs.size else (0.0, 0.0)
-        self.scale = max(hi, -lo)
-        self.spread = hi - lo
-        self._cumulants = None
+        self.scale = max(float(logs.max(initial=0.0)), -float(logs.min(initial=0.0)))
 
     def log_mean(self, r: float) -> float:
         """``ln M_r`` at one order: the one-order case of the kernel."""
@@ -162,28 +156,6 @@ class _LogSupport:
             return float(self.values.max() if r > 0 else self.values.min())
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_mean(r)))
-
-    def cumulants(self) -> tuple[float, float, float]:
-        """The second to fourth cumulants of ``ln x`` under ``w_hat``,
-        computed on first use and kept; every value must be finite."""
-        if self._cumulants is None:
-            w, log_x = self.norm_w, self.log_x
-            d = log_x - float(np.sum(w * log_x))
-            d2 = d * d
-            k2 = float(np.sum(w * d2))
-            self._cumulants = (
-                k2,
-                float(np.sum(w * d2 * d)),
-                float(np.sum(w * d2 * d2)) - 3.0 * k2 * k2,
-            )
-        return self._cumulants
-
-
-def _row_dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``a @ v`` as one dot product per row: a stacked matmul, so that each
-    row is bitwise what ``np.dot(row, v)`` gives, whatever rows share the
-    call (a matrix-vector product may round them differently)."""
-    return np.matmul(a[:, None, :], v)[:, 0]
 
 
 def _passes(idx: list[int], n: int) -> list[list[int]]:
@@ -206,7 +178,9 @@ def _log_sum_exp_pass(
     top, total = _shifted_exp_rows(a)
     # math.log, not np.log: numpy's vectorized log may differ in the last bit
     log_mean = (top + [math.log(t) for t in total.tolist()]) / r
-    return log_mean, _row_dots(a, s.log_x) / total if escort else None
+    # a stacked matmul, one dot product per row: each row is bitwise what
+    # np.dot(row, ln x) gives, whatever rows share the call
+    return log_mean, np.matmul(a[:, None, :], s.log_x)[:, 0] / total if escort else None
 
 
 def _expm1_pass(s: _LogSupport, r: np.ndarray) -> np.ndarray:
@@ -235,7 +209,7 @@ def _log_moments(
     of at most ``_PASS_ELEMENTS``, and every value is bitwise what a
     one-order call gives.  The escort needs every value positive and
     finite; it is NaN at ``+-inf``, at ``r = 0`` and in the subnormal
-    series, where :func:`_log_mean_slope` never uses it.
+    series.
     """
     rs = np.array(orders, dtype=float, ndmin=1)
     log_x = s.log_x
@@ -265,8 +239,9 @@ def _log_moments(
         if series:
             # r*log(x) underflows into subnormals, where the product itself
             # cannot be trusted; expand around the geometric mean instead,
-            # with an O(r^2) truncation error that is unobservable here
-            log_mean[series] = geo + 0.5 * rs[series] * s.cumulants()[0]
+            # with the slope at r = 0 and an O(r^2) truncation error that is
+            # unobservable here
+            log_mean[series] = geo + rs[series] * _kl_slope(s, np.zeros(1), np.array([geo]))[0]
     for idx in _passes(lse, log_x.size):
         log_mean[idx], escort_here = _log_sum_exp_pass(s, rs[idx], escort)
         if escort:
@@ -282,11 +257,36 @@ def _log_moments(
     return log_mean, escort_mean
 
 
-# Up to this |r| * spread the slope comes from its Taylor series at r = 0,
-# whose first dropped term is ~(|r| * spread)**3 / 15 relative; beyond it
-# the rounding error of the closed form, which grows like
-# 1e-16 / (|r| * spread), is the smaller one.
-SLOPE_SERIES_RADIUS = 1e-3
+# The largest estimated relative rounding of a closed-form slope that is kept
+_SLOPE_BUDGET = 1e-11
+
+
+def _kl_slope(s: _LogSupport, rs: np.ndarray, log_mean: np.ndarray) -> np.ndarray:
+    """``D_0(rho || w_hat) / r**2`` at the orders ``rs`` of one pass, given
+    ``ln M_r`` there, as ``sum w_hat c**2 h(r c)``, ``c = ln x - ln M_r`` and
+    ``h(v) = ((v - 1) e**v + 1) / v**2 >= 0``.  It cannot cancel, an error
+    in ``ln M_r`` moves it only in proportion to ``r``, and at ``r = 0`` it
+    is ``Var(ln x) / 2``.  ``h`` is its Taylor series where ``|v| <= 1/2``,
+    and ``(rho (v - 1) + w_hat) / v**2`` elsewhere, with the escort weight
+    ``rho = exp(ln w_hat + v)``, which cannot overflow.
+    """
+    c = s.log_x - log_mean[:, None]
+    v = c * rs[:, None]
+    top = min(float(np.abs(v).max()), 0.5)
+    small = np.clip(v, -0.5, 0.5) if top == 0.5 else v
+    h = np.zeros(v.shape)
+    # 16 terms reach double precision at |v| = 1/2; where every v is 0, h = 1/2
+    for j in range(15 if top else 0, -1, -1):
+        h *= small
+        h += (j + 1) / math.factorial(j + 2)
+    h *= s.norm_w
+    if top == 0.5:
+        big = np.abs(v) > 0.5
+        v = np.where(big, v, 1.0)
+        h = np.where(big, (np.exp(s.log_w + v) * (v - 1.0) + s.norm_w) / (v * v), h)
+    c *= c
+    h *= c
+    return h.sum(axis=1)
 
 
 def _log_mean_slope(
@@ -298,29 +298,22 @@ def _log_mean_slope(
     With ``K(r) = r ln M_r = ln sum w_hat * x**r`` the log-moment, the slope
     is ``(r K' - K) / r**2``, and ``K' = E_rho[ln x]`` under the escort
     ``rho ~ w_hat * x**r`` comes from the same kernel pass as ``ln M_r``.
-    That is ``D_0(rho || w_hat) / r**2``, never negative.  The closed form
-    cancels catastrophically as ``r -> 0``, so within
-    ``|r| * spread <= SLOPE_SERIES_RADIUS`` its Taylor series in the
-    cumulants ``k_n`` of ``ln x`` under ``w_hat`` is used instead,
-    ``k_2/2 + r k_3/3 + r**2 k_4/8``, which at ``r = 0`` is the exact
-    ``Var(ln x) / 2``.  One kernel call serves every order; it is asked for
-    the escort unless every order is in the series band.
-    Every slope in the library comes from here: the spectrum column,
-    :func:`srenyi.info.entropy_derivative`, :func:`power_mean_derivative`
-    and the Newton steps of spectrum inversion.
+    That closed form ``(E_rho[ln x] - ln M_r) / r`` is kept where its
+    rounding, estimated as ``eps * (|E_rho| + |ln M_r| + min(1/|r|, scale))``
+    (the last term is that of ``ln(total) / r`` or of the expm1 sum) over
+    ``|E_rho - ln M_r|``, is within ``_SLOPE_BUDGET``; every other order,
+    ``r = 0`` included, takes :func:`_kl_slope`.  Every slope in the
+    library comes from here, from one kernel call.
     """
     rs = np.array(orders, dtype=float, ndmin=1)
-    near = np.abs(rs) * s.spread <= SLOPE_SERIES_RADIUS
-    log_mean, escort_mean = _log_moments(s, rs, escort=not near.all())
-    slope = np.empty(rs.size)
-    if near.any():
-        k2, k3, k4 = s.cumulants()
-        r = rs[near]
-        slope[near] = 0.5 * k2 + r * k3 / 3.0 + r * r * k4 / 8.0
-    if escort_mean is not None:
-        far = ~near
-        far_slope = (escort_mean[far] - log_mean[far]) / rs[far]
-        slope[far] = np.where(far_slope < 0.0, 0.0, far_slope)
+    log_mean, escort_mean = _log_moments(s, rs, escort=True)
+    gap, size = escort_mean - log_mean, np.abs(rs)
+    slope = gap / rs  # NaN where the escort is NaN, as at r = 0
+    # the rounding estimate over eps, and the gap, both times |r|
+    rounding = (np.abs(escort_mean) + np.abs(log_mean)) * size + np.minimum(size * s.scale, 1.0)
+    redo = ~(rounding <= _SLOPE_BUDGET / np.finfo(float).eps * np.abs(gap * rs))
+    for idx in _passes(np.flatnonzero(redo).tolist(), s.log_x.size):
+        slope[idx] = _kl_slope(s, rs[idx], log_mean[idx])
     return log_mean, slope
 
 
@@ -400,10 +393,9 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
 def power_mean_derivative(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     """d/dr of ``M_r(w, x)`` at finite nonzero ``r``: ``M_r`` times the
     slope ``d ln M_r / dr`` of :func:`_log_mean_slope`, the one the entropy
-    spectrum uses.  That is the escort closed form
-    ``(ln M_0(escort_r(w, x), x) - ln M_r) / r``, and within
-    ``|r| * (max ln x - min ln x) <= SLOPE_SERIES_RADIUS`` (defined next to
-    it) its cumulant series at ``r = 0``, which does not cancel there.
+    spectrum uses: ``D_0(escort_r(w, x) || w) / r**2``, taken from the
+    escort closed form ``(ln M_0(escort_r(w, x), x) - ln M_r) / r`` where
+    its rounding is small and from a sum that does not cancel elsewhere.
     Every value on the support must be positive and finite, and ``r = 0``
     is rejected.  The result is never negative (power means are
     non-decreasing in the order).

@@ -10,13 +10,16 @@ edge corpus, on generated files (also at block sizes small enough that
 every row crosses a block end) and on a bench-sized file.  Two differences
 are intended.  A ``csv.Error`` (a field over ``csv.field_size_limit()``)
 is now a ``ValueError`` naming the file, which the CLI reports with exit
-code 1.  And a file is decoded as it is read, so a bad row ahead of an
+code 1.  A file is decoded as it is read, so a bad row ahead of an
 invalid UTF-8 byte in a later block of the file is the error reported,
-where the earlier reader decoded everything first.
+where the earlier reader decoded everything first.  And a UTF-8 byte-order
+mark at the start of a file is dropped, so such a file reads as the
+earlier reader read the same bytes without it.
 """
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -26,9 +29,10 @@ from hypothesis import strategies as st
 from srenyi import cli
 from srenyi.cli import main, read_measure
 
-from support import reference_read_measure
+from support import UCB_COUNTS, UCB_LABELS, reference_read_measure
 
 LONG = "x" * 200_000
+BOM = "\ufeff".encode()
 
 
 def second_block(rows: str) -> bytes:
@@ -117,11 +121,20 @@ def outcome(read, path):
     return measure.labels, measure.weights.tobytes()
 
 
+def reference_outcome(path, data: bytes):
+    """The earlier reader's outcome on ``data`` without a leading BOM, read
+    from ``path``, which is left holding ``data``."""
+    path.write_bytes(data.removeprefix(BOM))
+    expected = outcome(reference_read_measure, str(path))
+    path.write_bytes(data)
+    return expected
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_CORPUS))
 def test_edge_corpus_matches_reference(name, tmp_path):
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(EDGE_CORPUS[name])
-    assert outcome(read_measure, str(path)) == outcome(reference_read_measure, str(path))
+    expected = reference_outcome(path, EDGE_CORPUS[name])
+    assert outcome(read_measure, str(path)) == expected
 
 
 CELL = st.one_of(
@@ -153,12 +166,11 @@ def csv_files(draw):
 @settings(max_examples=400, deadline=None)
 def test_generated_files_match_reference(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("generated") / "input.csv"
-    path.write_bytes(data)
     default_limit = csv.field_size_limit()
     try:
         for limit in (default_limit, 4):
             csv.field_size_limit(limit)
-            expected = outcome(reference_read_measure, str(path))
+            expected = reference_outcome(path, data)
             for block_chars in (cli._BLOCK_CHARS, 1, 7, 64):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(cli, "_BLOCK_CHARS", block_chars)
@@ -227,3 +239,24 @@ def test_csv_rows_read_past_the_block_only_to_close_a_quote():
     assert rest.read() == "c,3\n"
     # the last block of a file may end without a newline
     assert list(cli._csv_rows('a,1\n"b",2', io.StringIO())) == [["a", "1"], ["b", "2"]]
+
+
+UCB_CSV = "".join(f"{a},{c}\n" for a, c in zip(UCB_LABELS, UCB_COUNTS))
+UCB_JSON = json.dumps([{"label": a, "weight": c} for a, c in zip(UCB_LABELS, UCB_COUNTS)])
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("header.csv", "label,weight\n" + UCB_CSV), ("rows.csv", UCB_CSV), ("ucb.json", UCB_JSON)],
+    ids=["csv-header", "csv-rows", "json"],
+)
+def test_leading_bom_reads_as_without_it(name, text, tmp_path, capsys):
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheets
+    write CSV, gives the measure of the same bytes without it, and the two
+    have the same support for ``divergence``."""
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    assert outcome(read_measure, str(marked)) == outcome(read_measure, str(plain))
+    assert main(["divergence", str(plain), str(marked), "--orders", "named"]) == 0
+    assert capsys.readouterr().err == ""
