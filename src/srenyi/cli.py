@@ -46,7 +46,7 @@ from .errors import (
 )
 from .info import DEFAULT_BASE, _check_base, _divergence_support
 from .means import _log_moments, _LogSupport
-from .measures import MassMeasure, normalize
+from .measures import MassMeasure, _probabilities, normalize
 from .spectrum import OrderGrid, _invert, recover_distribution_probe, sample_spectrum
 
 EXIT_OK = 0
@@ -435,7 +435,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
         rows = recover_distribution_probe(measure, tol=tol)
     else:
         # the order and the probability the solver attained there
-        orders, probs = _invert(measure, (args.target,), tol)
+        orders, probs = _invert(_probabilities(measure), (args.target,), tol)
         header = ["target", "order", "probability"]
         rows = [(args.target, orders.tolist()[0], probs.tolist()[0])]
     _write_table(args.format, "invert", {}, header, rows)

@@ -158,11 +158,13 @@ class _LogSupport:
             return float(np.exp(self.log_mean(r)))
 
 
-def _passes(idx: list[int], n: int) -> list[list[int]]:
-    """``idx`` in chunks of at most ``_PASS_ELEMENTS`` (orders x ``n``
-    values), and at least one order each."""
+def _passes(idx: Sequence[int] | np.ndarray, n: int) -> list[np.ndarray]:
+    """The order indices ``idx`` as ``np.intp`` index arrays of at most
+    ``_PASS_ELEMENTS`` (orders x ``n`` values), and at least one order each;
+    an array indexes a pass's rows several times faster than a list does."""
+    idx = np.asarray(idx, dtype=np.intp)
     k = max(1, _PASS_ELEMENTS // n)
-    return [idx[i:i + k] for i in range(0, len(idx), k)]
+    return [idx[i:i + k] for i in range(0, idx.size, k)]
 
 
 def _log_sum_exp_pass(
@@ -177,7 +179,7 @@ def _log_sum_exp_pass(
     a += s.log_w
     top, total = _shifted_exp_rows(a)
     # math.log, not np.log: numpy's vectorized log may differ in the last bit
-    log_mean = (top + [math.log(t) for t in total.tolist()]) / r
+    log_mean = (top + np.fromiter(map(math.log, total.tolist()), float, total.size)) / r
     # a stacked matmul, one dot product per row: each row is bitwise what
     # np.dot(row, ln x) gives, whatever rows share the call
     return log_mean, np.matmul(a[:, None, :], s.log_x)[:, 0] / total if escort else None
@@ -216,19 +218,20 @@ def _log_moments(
     log_mean = np.empty(rs.size)
     escort_mean = np.full(rs.size, math.nan) if escort else None
     zero, series, lse, near = [], [], [], []
+    scale = s.scale
     for i, r in enumerate(rs.tolist()):
         if math.isinf(r):
             log_mean[i] = s.log_hi if r > 0 else s.log_lo
         elif r == 0.0:
             zero.append(i)
-        elif abs(r) * s.scale > 1.0:
+        elif abs(r) * scale > 1.0:
             lse.append(i)
-        elif s.finite and abs(r) * s.scale < 1e-300:
+        elif s.finite and abs(r) * scale < 1e-300:
             series.append(i)
         else:
             near.append(i)
     if zero or series:
-        if zero and np.isneginf(log_x).any() and np.isposinf(log_x).any():
+        if zero and s.log_lo == -math.inf and s.log_hi == math.inf:
             raise DiscontinuityError(
                 "order-0 mean is undefined: values contain both 0 and inf"
             )
@@ -259,6 +262,7 @@ def _log_moments(
 
 # The largest estimated relative rounding of a closed-form slope that is kept
 _SLOPE_BUDGET = 1e-11
+_EPS = 2.0**-52  # the float64 machine epsilon, np.finfo(float).eps
 
 
 def _kl_slope(s: _LogSupport, rs: np.ndarray, log_mean: np.ndarray) -> np.ndarray:
@@ -311,8 +315,8 @@ def _log_mean_slope(
     slope = gap / rs  # NaN where the escort is NaN, as at r = 0
     # the rounding estimate over eps, and the gap, both times |r|
     rounding = (np.abs(escort_mean) + np.abs(log_mean)) * size + np.minimum(size * s.scale, 1.0)
-    redo = ~(rounding <= _SLOPE_BUDGET / np.finfo(float).eps * np.abs(gap * rs))
-    for idx in _passes(np.flatnonzero(redo).tolist(), s.log_x.size):
+    redo = ~(rounding <= _SLOPE_BUDGET / _EPS * np.abs(gap * rs))
+    for idx in _passes(np.flatnonzero(redo), s.log_x.size):
         slope[idx] = _kl_slope(s, rs[idx], log_mean[idx])
     return log_mean, slope
 

@@ -100,7 +100,12 @@ def normalize(m: MassMeasure) -> Distribution:
     Always divides by the total, even when it is already 1, so the result
     coincides bit for bit with the order-0 escort of the weights.
     """
-    return Distribution(m.labels, m.weights / m.weights.sum())
+    return Distribution(m.labels, _probabilities(m))
+
+
+def _probabilities(m: MassMeasure) -> np.ndarray:
+    """The weights of ``normalize(m)``, bitwise, without building it."""
+    return m.weights / m.weights.sum()
 
 
 def aligned_weights(p: MassMeasure, q: MassMeasure) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

@@ -25,8 +25,8 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import DEFAULT_BASE, EntropyValue, _check_base
-from .means import _log_mean_slope, _LogSupport
-from .measures import MassMeasure
+from .means import _EPS, _log_mean_slope, _LogSupport
+from .measures import MassMeasure, _probabilities
 
 __all__ = [
     "OrderGrid",
@@ -239,16 +239,17 @@ def invert_probability(m: MassMeasure, target_p: float, tol: float = 1e-10) -> f
     stops moving short of ``tol``, or when ``pi`` at +-1e6 misses the target
     by no more than its own rounding.
     """
-    return float(_invert(m, (target_p,), tol)[0][0])
+    return float(_invert(_probabilities(m), (target_p,), tol)[0][0])
 
 
 @np.errstate(all="ignore")  # inf and NaN iterates are settled by the comparisons
 def _invert(
-    m: MassMeasure, targets: Iterable[float], tol: float
+    p: np.ndarray, targets: Iterable[float], tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`invert_probability` for every target at once, on the
-    log-support of ``normalize(m)`` against itself, whose ``mean(r)`` is the
-    equivalent probability: ``(orders, support.mean(orders))``.
+    """:func:`invert_probability` for every target at once, given the
+    weights ``p`` of ``normalize(m)``, on their log-support against
+    themselves, whose ``mean(r)`` is the equivalent probability:
+    ``(orders, support.mean(orders))``.
 
     As ``sum p**(1+r)`` has no negative term, ``pi_r >= p_max**(1+1/r)`` at
     ``r > 0`` and ``pi_r <= p_min**(1+1/r)`` at ``r < 0``: the root of ``t``
@@ -276,7 +277,6 @@ def _invert(
     t = np.array(targets, dtype=float, ndmin=1)
     if np.isnan(t).any():
         raise ValueError("target probability must not be NaN")
-    p = m.weights / m.weights.sum()  # bitwise normalize(m).weights
     support = _LogSupport(p, p)
     p_min, p_max = float(support.values.min()), float(support.values.max())
     outside = (t < p_min * (1.0 - tol)) | (t > p_max * (1.0 + tol))
@@ -287,7 +287,8 @@ def _invert(
     log_t = np.log(t)
     log_min, log_max = math.log(p_min), math.log(p_max)
     top, bottom = t >= p_max * (1.0 - tol), t <= p_min * (1.0 + tol)
-    inner = log_t[~(top | bottom)]
+    interior = ~(top | bottom)
+    inner = log_t[interior]
     seeds = np.zeros(1)
     if inner.size > SEED_ORDERS:
         neg = _root_bound(inner.min(), log_min)
@@ -298,14 +299,13 @@ def _invert(
     log_pi0 = float(seed_lp[np.searchsorted(seeds, 0.0)])
     orders = np.zeros(t.size)
     log_pi = np.full(t.size, log_pi0)
-    at_zero = np.abs(np.expm1(log_pi0 - log_t)) <= tol
-    orders[~at_zero & top] = math.inf
-    orders[~at_zero & bottom] = -math.inf
-    idx = np.flatnonzero(~at_zero & np.isfinite(orders))
+    off_zero = np.abs(np.expm1(log_pi0 - log_t)) > tol  # pi_0 misses the target
+    orders[off_zero & top] = math.inf
+    orders[off_zero & bottom] = -math.inf
+    idx = np.flatnonzero(off_zero & interior)
     log_t = log_t[idx]
     r, lo, hi = _seeded_start(seeds, seed_lp, seed_slope, log_t, log_min, log_max)
-    slack = 8.0 * np.finfo(float).eps * support.scale  # rounding of ln pi at the cap
-    r_last, miss = np.zeros(idx.size), np.expm1(log_pi0 - log_t)  # pi_0 so far
+    slack = 8.0 * _EPS * support.scale  # rounding of ln pi at the cap
     steps = 0
     while idx.size and steps < MAX_NEWTON_ROUNDS:
         steps += 1
@@ -313,21 +313,26 @@ def _invert(
         f = lp - log_t
         miss = np.expm1(f)
         below = f < 0.0
+        size = np.abs(r)
         # an end that reads on the wrong side of t, by rounding, gives way to the cap
         lo = np.where(below, r, np.where(r <= lo, -BRACKET_CAP, lo))
         hi = np.where(below, np.where(r >= hi, BRACKET_CAP, hi), r)
         d = f / slope
-        step = r - d / np.where(np.abs(r) > 1.0, 1.0 + d / r, 1.0)
+        step = r - d / np.where(size > 1.0, 1.0 + d / r, 1.0)
         end = np.where(below, hi, lo)  # the end the root lies toward
         r_next = np.where(np.abs(end) == BRACKET_CAP, end, 0.5 * (lo + hi))
         r_next = np.where((lo < step) & (step < hi), step, r_next)
         done = np.abs(miss) <= tol
-        orders[idx[done]] = r[done]
-        log_pi[idx[done]] = lp[done]
-        # short at the cap by more than rounding: the root is beyond it
-        past = ~done & (np.abs(r) >= BRACKET_CAP) & (below == (r > 0.0)) & (np.abs(f) > slack)
-        orders[idx[past]] = np.copysign(math.inf, r[past])
-        keep = ~(done | past)
+        hit = idx[done]
+        orders[hit] = r[done]
+        log_pi[hit] = lp[done]
+        keep = ~done
+        at_cap = size >= BRACKET_CAP
+        if at_cap.any():
+            # short at the cap by more than rounding: the root is beyond it
+            past = keep & at_cap & (below == (r > 0.0)) & (np.abs(f) > slack)
+            orders[idx[past]] = np.copysign(math.inf, r[past])
+            keep &= ~past
         idx, log_t, lo, hi = idx[keep], log_t[keep], lo[keep], hi[keep]
         r_last, miss, r = r[keep], miss[keep], r_next[keep]
         stuck = r == r_last  # it would repeat at every later step
@@ -385,11 +390,11 @@ def _seeded_start(
     past = (j == 1) | (j == r_pad.size - 1)  # past the outermost seed
     mid = np.flatnonzero(~past)
     if mid.size:
-        k = j[mid]
-        ends, lp = r_pad[[k - 1, k]], lp_pad[[k - 1, k]]
+        k = j[mid] - [[1], [0]]  # the seeds below and above, one row each
+        ends, lp = r_pad[k], lp_pad[k]
         inv = (np.abs(ends) > 1.0).all(axis=0)  # ln pi ~ A + B/r there
         x = np.where(inv, 1.0 / ends, ends)
-        m = np.where(inv, -x * x, 1.0) / seed_slope[[k - 2, k - 1]]  # dx / d ln pi
+        m = np.where(inv, -x * x, 1.0) / seed_slope[k - 1]  # dx / d ln pi
         h = lp[1] - lp[0]
         s = (log_t[mid] - lp[0]) / h
         guess = (
@@ -425,15 +430,19 @@ def recover_distribution_probe(
     components reproduces the distinct weights of the distribution within
     ``tol`` relative.  All values are inverted together, as in
     :func:`invert_probability`: one kernel call samples the spectrum to
-    start them all, and then one call makes each Newton step.
+    start them all, and then one call makes each Newton step.  The labels
+    are grouped by one stable sort of the probabilities, each run of equal
+    values a row; labels are sorted and joined only when some values tie.
     """
-    by_value: dict[float, list[str]] = {}
-    for label, weight in zip(m.labels, (m.weights / m.weights.sum()).tolist()):
-        if weight > 0:
-            by_value.setdefault(weight, []).append(label)
-    values = sorted(by_value)
-    orders, probs = _invert(m, values, tol)
-    return [
-        (",".join(sorted(by_value[v])), order, prob)
-        for v, order, prob in zip(values, orders.tolist(), probs.tolist())
-    ]
+    p = _probabilities(m)
+    by_p = np.argsort(p, kind="stable")
+    sorted_p = p[by_p]
+    # a run of equal probabilities starts where one exceeds the one before;
+    # the zeros sort first and start none
+    starts = np.flatnonzero(np.diff(sorted_p, prepend=0.0))
+    orders, probs = _invert(p, sorted_p[starts], tol)
+    labels = [m.labels[i] for i in by_p[starts[0]:].tolist()]
+    if starts.size < len(labels):  # ties: one row per run, its labels joined
+        bounds = [*(starts - starts[0]).tolist(), len(labels)]
+        labels = [",".join(sorted(labels[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return list(zip(labels, orders.tolist(), probs.tolist()))

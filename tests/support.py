@@ -7,9 +7,10 @@ stress cases, which is part of what gets tested).  The Kolmogorov-Nagumo
 means and the identity routes of the paper (escort rewrites, skew symmetry,
 self-information, mass displacement) live here too: they use only the
 public ``srenyi`` API and numpy, so they share no private code with what
-they check.  The textbook out-of-place kernel formulas and the input
-reader as it was before it streamed are kept here as oracles too (the
-reader borrows the library's JSON record parse, which it does not check).
+they check.  The textbook out-of-place kernel formulas, the input
+reader as it was before it streamed and the dict-based label grouping of
+the recovery are kept here as oracles too (the reader borrows the
+library's JSON record parse, which it does not check).
 """
 
 from __future__ import annotations
@@ -195,6 +196,19 @@ def reference_log_mean_slope(weights, values, r, digits=50):
         s1 = sum(wh * di * ei for wh, di, ei in zip(w_hat, d, e))
         k = s0.ln()
         return float(mu + k / rd), float((rd * s1 / s0 - k) / (rd * rd))
+
+
+def reference_label_groups(m: MassMeasure) -> tuple[list[str], list[float]]:
+    """``(labels, values)``: the distinct positive probabilities of
+    ``normalize(m)`` in increasing order, and for each the labels that carry
+    it, sorted and joined with commas, grouped through a dict keyed by value
+    as ``recover_distribution_probe`` once did."""
+    by_value: dict[float, list[str]] = {}
+    for label, weight in zip(m.labels, (m.weights / m.weights.sum()).tolist()):
+        if weight > 0:
+            by_value.setdefault(weight, []).append(label)
+    values = sorted(by_value)
+    return [",".join(sorted(by_value[v])) for v in values], values
 
 
 def reference_read_measure(path: str) -> MassMeasure:

@@ -459,13 +459,21 @@ class TestInvertCommand:
         assert data[0][1] == "0.0"
 
     def test_all_rows(self, capsys, ucb_csv):
+        """One row per college in increasing probability, the extremes at
+        -inf and inf; the bytes are pinned, and each probability is the
+        college's share of the counts."""
         code, out, _ = run(capsys, ["invert", ucb_csv, "--all"])
-        assert code == 0
-        header, data = parse_csv_table(out)
-        assert header == ["labels", "order", "probability"]
-        assert len(data) == 6
-        assert data[0][0] == "E" and data[0][1] == "-inf"
-        assert data[-1][0] == "A" and data[-1][1] == "inf"
+        assert (code, out) == (
+            0,
+            "labels,order,probability\n"
+            "E,-inf,0.12903225806451613\n"
+            "B,-1115.9790356510896,0.12925320371058338\n"
+            "F,-4.098398053970649,0.1577551922227125\n"
+            "D,1.9181228192351303,0.17498895271841508\n"
+            "C,83.44758994213704,0.20282810428827888\n"
+            "A,inf,0.20614228899690676\n",
+        )
+        _, data = parse_csv_table(out)
         expected = sorted(c / sum(UCB_COUNTS) for c in UCB_COUNTS)
         assert_allclose([float(r[2]) for r in data], expected, atol=1e-8)
 

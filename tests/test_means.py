@@ -673,6 +673,30 @@ class TestKernelIsTheOutOfPlaceFormula:
         assert _bits(log_mean) == _bits([lm for lm, _ in singles])
         assert _bits(escort_mean) == _bits([em for _, em in singles])
 
+    def test_orders_spanning_passes(self):
+        """At n = 200 a pass holds 327 orders.  One call over 400
+        log-sum-exp and 400 expm1 orders in random order, mixed with +-inf,
+        0 and the subnormal series orders +-1e-310, spans several passes of
+        each branch, and still gives every ``ln M_r`` and every escort
+        bitwise as one-order calls do."""
+        n = 200
+        assert srenyi.means._PASS_ELEMENTS // n == 327
+        rng = np.random.default_rng(16)
+        p = rng.random(n)
+        p /= p.sum()
+        support = _LogSupport(p, p)
+        signs = rng.choice([-1.0, 1.0], 800)
+        lse = rng.uniform(0.2, 50.0, 400)
+        near = 10.0 ** rng.uniform(-15.0, -2.5, 400)
+        assert (lse * support.scale > 1.0).all()
+        assert (near * support.scale <= 1.0).all() and (near * support.scale >= 1e-300).all()
+        orders = np.concatenate((signs * np.concatenate((lse, near)), [-INF, INF, 0.0, -1e-310, 1e-310]))
+        rng.shuffle(orders)
+        log_mean, escort_mean = _log_moments(support, orders, escort=True)
+        singles = [self.one_order(support, r, escort=True) for r in orders.tolist()]
+        assert _bits(log_mean) == _bits([lm for lm, _ in singles])
+        assert _bits(escort_mean) == _bits([em for _, em in singles])
+
     def test_escort_distribution(self, rng):
         w = rng.uniform(0.0, 1.0, 500)
         x = np.exp(rng.uniform(-30.0, 30.0, 500))

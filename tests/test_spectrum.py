@@ -1,10 +1,12 @@
 """Order grids, spectrum tables, and inversion of the probability spectrum."""
 
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -31,7 +33,7 @@ from srenyi import (
     shifted_entropy,
 )
 
-from support import UCB_TOTAL, random_distribution, random_mass
+from support import UCB_TOTAL, random_distribution, random_mass, reference_label_groups
 
 INF = math.inf
 
@@ -457,6 +459,38 @@ class TestRecoverDistribution:
         # ascending-probability ordering, extremes at the infinities
         orders = [order for _, order, _ in rows]
         assert orders[0] == -INF and orders[-1] == INF
+
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=40).filter(any),
+        st.sampled_from([1.0, 0.1, 3.7e-5, 1e6]),
+        st.randoms(use_true_random=False),
+    )
+    @example([4], 1.0, random.Random(0))  # a single support point
+    @example([0, 2, 0, 2, 5, 0], 0.1, random.Random(1))
+    @settings(max_examples=150, deadline=None)
+    def test_grouping_matches_dict_reference(self, counts, scale, shuffler):
+        """Measures with ties, zero weights and shuffled labels (``x10``
+        sorts before ``x2``): the label column and the values inverted are
+        exactly the dict-based grouping's, and the order and probability
+        columns are exactly what ``_invert`` returns on those values."""
+        labels = [f"x{i}" for i in range(len(counts))]
+        shuffler.shuffle(labels)
+        m = MassMeasure(tuple(labels), np.array(counts, dtype=float) * scale)
+        want_labels, want_values = reference_label_groups(m)
+        invert, inverted = srenyi.spectrum._invert, []
+
+        def spy(p, targets, tol):
+            inverted.append(np.asarray(targets).tolist())
+            return invert(p, targets, tol)
+
+        with mock.patch.object(srenyi.spectrum, "_invert", spy):
+            rows = recover_distribution_probe(m)
+        assert [row[0] for row in rows] == want_labels
+        assert inverted == [want_values]
+        orders, probs = invert(normalize(m).weights, want_values, 1e-10)
+        assert [(row[1].hex(), row[2].hex()) for row in rows] == [
+            (o.hex(), q.hex()) for o, q in zip(orders.tolist(), probs.tolist())
+        ]
 
     def test_ties_share_a_row(self):
         m = from_counts(("a", "b", "c", "d"), (1, 3, 1, 5))
