@@ -95,17 +95,20 @@ def _check_order(r: float) -> float:
 _PASS_ELEMENTS = 2**16
 
 
-def _shifted_exp_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One max-shifted exponential pass over each row of ``a``, in place:
-    ``top = max`` of the row, the row is overwritten with
-    ``e = exp(row - top)``, and ``total = sum(e)``.
+def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The log escort weights ``ln w_hat + r * ln x`` of ``s``, one row per
+    order of ``r``, through one max-shifted exponential pass: ``top = max``
+    of each row, the row ``e = exp(row - top)`` and ``total = sum(e)``.
 
     ``ln(sum(exp(row))) = top + ln(total)`` then holds with no term able to
-    overflow, and ``e / total`` are the normalized weights ``exp(row) / sum``.
-    An infinite ``top`` leaves nothing to shift: an all ``-inf`` row has
+    overflow, and ``e / total`` are the normalized escort weights.  An
+    infinite ``top`` leaves nothing to shift: an all ``-inf`` row has
     ``total = 0``, and a row holding ``+inf`` is zeroed, which keeps
-    ``top + ln(total) = +inf`` without an overflow.
+    ``top + ln(total) = +inf`` without an overflow.  The rows are one fresh
+    array, returned as ``e``.
     """
+    a = np.multiply.outer(r, s.log_x)
+    a += s.log_w
     top = a.max(axis=1)
     shift = top
     if not np.isfinite(top).all():
@@ -113,13 +116,23 @@ def _shifted_exp_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shift = np.where(np.isinf(top), 0.0, top)
     a -= shift[:, None]
     np.exp(a, out=a)
-    return top, a.sum(axis=1)
+    return top, a, a.sum(axis=1)
 
 
 class _LogSupport:
     """Everything about one ``(weights, values)`` pair that does not depend
     on the order, computed once: the normalized weights ``w_hat`` and their
     logs, and the logs of the values, all on the positive-weight support.
+
+    This is the one place where the weights' scale is taken out.  With
+    ``W = 2**e * c``, ``e = round(log2 W)`` and ``c`` within ``sqrt(2)`` of
+    1, ``ln w_hat = ln(w / 2**e) - ln(W / 2**e)``.  The division only shifts
+    exponents, so ``w_hat`` is bitwise ``w / W``, but ``ln w_hat`` no longer
+    carries the rounding of ``ln w`` and ``ln W`` far from 0, which the
+    log-sum-exp would divide by ``r``.  A weight that the shift would carry
+    out of the normal range (``w_hat`` below about ``2**-1022``) keeps
+    ``ln w - ln W``; at ``e = 0`` the shift is the identity.  The values are
+    not scaled.
 
     ``scale`` (the largest finite ``|ln x|``) selects the branch of
     :func:`_log_moments` at each order without another pass over the data;
@@ -136,9 +149,13 @@ class _LogSupport:
         total = w.sum()
         self.values = x
         self.norm_w = w / total
-        self.log_w = np.log(w) - math.log(total)
+        # the exact scale shift of the class docstring
+        e = round(math.log2(total))
         with np.errstate(divide="ignore"):
             self.log_x = np.log(x)
+            self.log_w = np.log(np.ldexp(w, -e)) - math.log(math.ldexp(total, -e))
+        lost = w < math.ldexp(1.0, e - 1022)
+        self.log_w[lost] = np.log(w[lost]) - math.log(total)
         self.log_lo, self.log_hi = float(self.log_x.min()), float(self.log_x.max())
         finite = np.isfinite(self.log_x)
         self.finite = bool(finite.all())
@@ -175,9 +192,7 @@ def _log_sum_exp_pass(
     ``ln w_hat + r * ln x``, one row per order, and the escort mean from
     the same pass.  The array dies on return, before the next pass
     allocates one, which keeps large-n passes in cache."""
-    a = np.multiply.outer(r, s.log_x)
-    a += s.log_w
-    top, total = _shifted_exp_rows(a)
+    top, a, total = _shifted_exp_rows(s, r)
     # math.log, not np.log: numpy's vectorized log may differ in the last bit
     log_mean = (top + np.fromiter(map(math.log, total.tolist()), float, total.size)) / r
     # a stacked matmul, one dot product per row: each row is bitwise what
@@ -364,33 +379,31 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
     at exactly 0.  ``r = 0`` gives the normalized weights (the 0^0 = 1
     convention), and ``r = +inf`` / ``-inf`` the uniform distribution over
     the argmax / argmin ties of the values on the support, which is the
-    pointwise limit.  Raises :class:`DivergentEscortError` when some escort
-    weight is infinite and ValueError when they are all zero.
+    pointwise limit.  Every other order takes the kernel's own row on the
+    ``_LogSupport`` of ``(weights, values)``: the escort weights are
+    ``e / total`` of :func:`_shifted_exp_rows`, bitwise.  Raises
+    :class:`DivergentEscortError` when some escort weight is infinite and
+    ValueError when they are all zero.
     """
     w, x = _as_weight_value_arrays(weights, values)
     r = _check_order(r)
-    mask = w > 0
+    s = _LogSupport(w, x)
     out = np.zeros_like(w)
-    ws, xs = w[mask], x[mask]
     if math.isinf(r):
-        extreme = xs.max() if r > 0 else xs.min()
-        ties = (xs == extreme)
-        out[mask] = ties.astype(float) / ties.sum()
-        return out
-    if r == 0.0:
-        out[mask] = ws / ws.sum()
-        return out
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(ws) + r * np.log(xs)
-    if np.isposinf(log_terms).any():
-        raise DivergentEscortError(
-            f"escort weight diverges at order {r}: "
-            "a value is 0 with r < 0, or inf with r > 0"
-        )
-    _, total = _shifted_exp_rows(log_terms[None, :])
-    if total[0] == 0.0:
-        raise ValueError("all escort weights are zero")
-    out[mask] = log_terms / total[0]
+        ties = s.values == (s.values.max() if r > 0 else s.values.min())
+        out[w > 0] = ties / ties.sum()
+    elif r == 0.0:
+        out[w > 0] = s.norm_w
+    else:
+        top, e, total = _shifted_exp_rows(s, np.array([r]))
+        if top[0] == math.inf:
+            raise DivergentEscortError(
+                f"escort weight diverges at order {r}: "
+                "a value is 0 with r < 0, or inf with r > 0"
+            )
+        if total[0] == 0.0:
+            raise ValueError("all escort weights are zero")
+        out[w > 0] = e[0] / total[0]
     return out
 
 

@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 import srenyi
 from srenyi.cli import main, read_measure
 
-from support import UCB_COUNTS, UCB_LABELS
+from support import SEAM_SEEDS, UCB_COUNTS, UCB_LABELS, near_flat_weights
 
 LOG2_6 = 2.584962500721156
 
@@ -141,6 +141,17 @@ class TestSpectrumCommand:
         _, data = parse_csv_table(out)
         assert data[0][0] == "-inf" and data[-1][0] == "inf"
         assert len(data) == 105
+
+    @pytest.mark.parametrize("seed", SEAM_SEEDS)
+    def test_near_flat_weights_far_from_unit_total(self, capsys, tmp_path, seed):
+        """200 weights ``1e-300 * (1 + 1e-12 * u)``, written as ``repr``
+        floats, give a spectrum on the default grid (they once exited 3:
+        "entropy increases by 1.02e-12 from order -0.01 to 0.0")."""
+        path = tmp_path / "flat.csv"
+        path.write_text("".join(f"x{i},{w!r}\n" for i, w in enumerate(near_flat_weights(seed).tolist())))
+        code, out, err = run(capsys, ["spectrum", str(path)])
+        assert (code, err) == (0, "")
+        assert len(parse_csv_table(out)[1]) == 105
 
     def test_base_flag_and_env(self, capsys, ucb_csv, monkeypatch):
         _, bits, _ = run(capsys, ["spectrum", ucb_csv, "--orders", "0", "--normalize"])

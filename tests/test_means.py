@@ -21,15 +21,17 @@ from srenyi import (
     power_mean_derivative,
 )
 from srenyi.cli import main
-from srenyi.means import _log_mean_slope, _log_moments, _LogSupport
+from srenyi.means import _log_mean_slope, _log_moments, _LogSupport, _shifted_exp_rows
 
 from support import (
+    SEAM_SEEDS,
     UCB_COUNTS,
     KNFunctionPair,
     direct_power_mean,
     identity_pair,
     kn_mean,
     log_exp_pair,
+    near_flat_weights,
     power_pair,
     random_distribution,
     reference_log_mean_slope,
@@ -580,6 +582,45 @@ class TestSlopeAgainstDecimalOracle:
             assert_allclose(slope, want, rtol=1e-9, atol=0, err_msg=name)
 
 
+class TestLogMeanAgainstDecimalOracle:
+    """``ln M_r`` of the kernel against the decimal oracle on 67
+    self-supports whose total is far from 1, at orders from +-50 down to
+    +-1e-5, within an absolute bound fixed before any result was seen:
+    ``1e-13 + 4 eps |ln M_r|`` nats."""
+
+    ORDERS = tuple(sign * a for a in (50.0, 7.5, 1.0, 0.1, 0.01, 1e-5) for sign in (-1.0, 1.0))
+
+    @staticmethod
+    def supports(rng):
+        def n():
+            return int(rng.integers(2, 41))
+
+        for _ in range(14):  # near-flat at a random magnitude
+            yield 10.0 ** rng.uniform(-300.0, 300.0) * (1.0 + 1e-12 * rng.random(n()))
+        for _ in range(14):
+            yield rng.integers(1, 10**6, n()).astype(float)  # counts
+        for centre in (-280.0, 280.0):  # spread over 1e12 far from 1
+            for _ in range(7):
+                yield 10.0 ** (centre + rng.uniform(-6.0, 6.0, n()))
+        for _ in range(14):
+            yield 10.0 ** rng.uniform(-150.0, 150.0, n())  # log-uniform
+        for _ in range(7):  # over 620 decades, so w_hat can be subnormal
+            yield 10.0 ** rng.uniform(-320.0, 300.0, n())
+        for seed in SEAM_SEEDS:
+            yield near_flat_weights(seed)
+
+    def test_unnormalized_supports(self):
+        eps = np.finfo(float).eps
+        misses = []
+        for w in self.supports(np.random.default_rng(0)):
+            got = _log_moments(_LogSupport(w, w), self.ORDERS)[0].tolist()
+            for r, log_mean in zip(self.ORDERS, got):
+                want = reference_log_mean_slope(w, w, r, digits=30)[0]
+                if not abs(log_mean - want) <= 1e-13 + 4.0 * eps * abs(want):
+                    misses.append((w.size, r, log_mean - want))
+        assert not misses
+
+
 def _bits(values):
     """Floats (or None) as exact hex strings, so -0.0 and NaN compare too."""
     return [None if v is None else float(v).hex() for v in values]
@@ -606,6 +647,10 @@ class TestKernelIsTheOutOfPlaceFormula:
             yield w, np.exp(rng.uniform(-30.0, 30.0, n))  # log-sum-exp mostly
             yield w, 1.0 + rng.uniform(0.0, 1e-3, n)  # expm1 up to |r| = 50
             yield w * 1e-300, rng.uniform(0.0, 1.0, n)  # tiny weights
+            # a self-support over 620 decades, whose smallest weights the
+            # scale shift would carry out of the normal range
+            spread = w * 10.0 ** rng.uniform(-320.0, 300.0, n)
+            yield spread, spread
 
     @staticmethod
     def one_order(support, r, escort=False):
@@ -698,11 +743,28 @@ class TestKernelIsTheOutOfPlaceFormula:
         assert _bits(escort_mean) == _bits([em for _, em in singles])
 
     def test_escort_distribution(self, rng):
+        """The escort is the textbook max-shifted exponential of the
+        support's row ``ln w_hat + r ln x``, bitwise."""
         w = rng.uniform(0.0, 1.0, 500)
         x = np.exp(rng.uniform(-30.0, 30.0, 500))
+        support = _LogSupport(w, x)
         for r in self.ORDERS:
             if r == 0.0 or math.isinf(r):
                 continue
-            a = np.log(w) + r * np.log(x)
+            a = support.log_w + r * support.log_x
             e = np.exp(a - a.max())
             assert escort_distribution(w, x, r).tobytes() == (e / e.sum()).tobytes()
+
+    def test_escort_distribution_is_the_kernel_row(self, rng):
+        """Where the weight is positive, ``escort_distribution`` is bitwise
+        ``e / total`` of the kernel's own ``_shifted_exp_rows`` row, on
+        supports of every scale; zero weights stay exactly 0."""
+        for w, x in self.supports(rng):
+            support = _LogSupport(w, x)
+            for r in self.ORDERS:
+                if r == 0.0 or math.isinf(r):
+                    continue
+                _, e, total = _shifted_exp_rows(support, np.array([r]))
+                got = escort_distribution(w, x, r)
+                assert got[w > 0].tobytes() == (e[0] / total[0]).tobytes(), (w.size, r)
+                assert not got[w == 0].any()

@@ -33,7 +33,14 @@ from srenyi import (
     shifted_entropy,
 )
 
-from support import UCB_TOTAL, random_distribution, random_mass, reference_label_groups
+from support import (
+    SEAM_SEEDS,
+    UCB_TOTAL,
+    near_flat_weights,
+    random_distribution,
+    random_mass,
+    reference_label_groups,
+)
 
 INF = math.inf
 
@@ -250,6 +257,53 @@ class TestValidateAtTheEdgesOfTheDoubles:
             assert math.isnan(exc.value.residual)
         else:
             assert_allclose(exc.value.residual, residual, rtol=1e-6)
+
+
+class TestUnnormalizedSeam:
+    """Spectra of measures whose total is far from 1 pass ``validate``:
+    ``ln w_hat`` does not carry the rounding of ``ln w`` and ``ln W`` far
+    from 0 into the log-sum-exp, which divides it by r next to r = 0."""
+
+    GRID = OrderGrid.default()
+
+    @staticmethod
+    def _measure(w):
+        return MassMeasure(tuple(f"x{i}" for i in range(w.size)), w)
+
+    @pytest.mark.parametrize("seed", SEAM_SEEDS)
+    def test_reproducer(self, seed):
+        sample_spectrum(self._measure(near_flat_weights(seed)), self.GRID)
+
+    def test_near_flat_magnitude_sweep(self):
+        """50 near-flat weights at 10**k, for every k from -300 to 300."""
+        for k in range(-300, 301):
+            sample_spectrum(self._measure(near_flat_weights(k + 1000, 10.0**k, 50)), self.GRID)
+
+    def test_stress_sweep(self):
+        """600 measures, n 1-299: weights 10**U(-320, 300), whose smallest
+        the exact scale shift would carry out of the normal range,
+        10**U(-323, -300), and near-flat weights at 10**U(-300, 300)."""
+        rng = np.random.default_rng(0)
+        for k in range(600):
+            n = int(rng.integers(1, 300))
+            if k % 3 == 0:
+                w = 10.0 ** rng.uniform(-320.0, 300.0, n)
+            elif k % 3 == 1:
+                w = 10.0 ** rng.uniform(-323.0, -300.0, n)
+            else:
+                w = 10.0 ** rng.uniform(-300.0, 300.0) * (1.0 + 1e-12 * rng.random(n))
+            w = w[w > 0] if (w > 0).any() else np.array([1e-300])
+            sample_spectrum(self._measure(w), self.GRID)
+
+    def test_branch_threshold_grids(self):
+        """Orders on both sides of the log-sum-exp threshold ``|r| * max|ln w|
+        = 1``, around 0, on 80 near-flat measures at 10**U(-300, 300)."""
+        rng = np.random.default_rng(17)
+        for seed in range(80):
+            w = near_flat_weights(seed, 10.0 ** rng.uniform(-300.0, 300.0), int(rng.integers(2, 200)))
+            r = 1.0 / float(np.abs(np.log(w)).max())
+            grid = OrderGrid((-1.05 * r, -0.95 * r, 0.0, 0.95 * r, 1.05 * r))
+            sample_spectrum(self._measure(w), grid)
 
 
 class TestInvertProbability:
