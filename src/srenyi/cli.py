@@ -45,9 +45,8 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import DEFAULT_BASE, _check_base, _divergence_support
-from .means import _log_moments, _LogSupport
 from .measures import MassMeasure, _probabilities, normalize
-from .spectrum import OrderGrid, _invert, recover_distribution_probe, sample_spectrum
+from .spectrum import OrderGrid, _invert, _table, recover_distribution_probe, sample_spectrum
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -395,29 +394,24 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _uniform_reference(q: MassMeasure) -> tuple[bool, int]:
-    support = q.weights[q.weights > 0]
-    return bool(np.all(support == support[0])), int(support.size)
-
-
 def cmd_divergence(args: argparse.Namespace) -> int:
     grid = parse_orders(args.orders)
     base = resolve_base(args.base)
     p = read_measure(args.p_input)
     q = read_measure(args.q_input)
-    uniform, n_support = _uniform_reference(q)
-    ln_b = math.log(base)
-    # labels are aligned once; each column is one kernel call over the grid
-    orders = grid.orders()
-    log_means = _log_moments(_divergence_support(p, q), orders)[0].tolist()
+    # labels are aligned once; D_r is minus the entropy column of the
+    # spectrum table of (p, p/q), which has passed the spectrum's laws
+    table = _table(_divergence_support(p, q), grid, base, p.total)
     header = ["order", "divergence"]
-    rows = [(r, lm / ln_b) for r, lm in zip(orders, log_means)]
+    rows = [(row.order, -row.entropy.value) for row in table.rows]
+    q_support = q.weights[q.weights > 0]
+    uniform = bool(np.all(q_support == q_support[0]))
     if uniform:
-        check_const = math.log(n_support) / ln_b - math.log(q.total) / ln_b
+        ln_b = math.log(base)
+        check_const = math.log(q_support.size) / ln_b - math.log(q.total) / ln_b
         header.append("uniform_check")
-        # check_const - H_r(p), with H_r(p) = -ln M_r(p_hat, p) / ln b
-        own = _log_moments(_LogSupport(p.weights, p.weights), orders)[0].tolist()
-        rows = [(r, div, check_const + lm / ln_b) for (r, div), lm in zip(rows, own)]
+        own = sample_spectrum(p, grid, base).entropies()
+        rows = [(r, div, check_const - h) for (r, div), h in zip(rows, own)]
     meta = {"base": base, "uniform_reference": uniform}
     _write_table(args.format, "divergence", meta, header, rows)
     return EXIT_OK

@@ -166,4 +166,4 @@ def entropy_derivative(m: MassMeasure, r: float, base: float = DEFAULT_BASE) -> 
         raise ValueError("the spectrum derivative needs a finite order")
     ln_b = math.log(_check_base(base))
     _, slope = _log_mean_slope(_LogSupport(m.weights, m.weights), (r,))
-    return min(0.0, -float(slope[0]) / ln_b)
+    return 0.0 - float(slope[0]) / ln_b  # 0.0 - x, not -x: a zero slope gives +0.0

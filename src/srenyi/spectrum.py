@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import DEFAULT_BASE, EntropyValue, _check_base
-from .means import _EPS, _log_mean_slope, _LogSupport
+from .means import _EPS, _log_mean_slope, _log_moments, _LogSupport
 from .measures import MassMeasure, _probabilities
 
 __all__ = [
@@ -130,13 +131,13 @@ class SpectrumTable:
         Entropy must be non-increasing and the equivalent probability
         non-decreasing along the grid (slack 1e-12 for roundoff), each row
         must satisfy ``equiv_prob = base**(-entropy)`` to 1e-10 relative,
-        and the derivative column must never be positive.
+        and the derivative column must be <= 0 (not positive, not NaN).
 
         A failure raises :class:`SpectrumConsistencyError` carrying the
         offending row's order, the order of the row before it for the two
         monotonicity laws, and the residual: the entropy increase, the
         relative probability decrease, the relative ``equiv_prob`` error,
-        or the positive slope.
+        or the slope that is positive or NaN.
         """
         slack = 1e-12
         for a, b in zip(self.rows, self.rows[1:]):
@@ -157,13 +158,14 @@ class SpectrumTable:
                     neighbour=a.order,
                     residual=drop,
                 )
-        ln_b, tiny = math.log(self.base), math.ulp(0.0)
+        ln_b, tiny, huge = math.log(self.base), math.ulp(0.0), float(np.finfo(float).max)
         for row in self.rows:
-            # in logs, as base**(-entropy) can overflow; below the doubles both
-            # read as the least, and pi is good to 1e-10 or two of its spacings
-            p = max(row.equiv_prob, tiny)  # NaN stays NaN
+            # in logs, as base**(-entropy) can overflow; past the doubles both
+            # read as the least or the largest (a divergence's M_r can pass
+            # the largest), and pi is good to 1e-10 or two of its spacings
+            p = min(max(row.equiv_prob, tiny), huge)  # NaN stays NaN
             got = math.log(p)
-            expected = max(-row.entropy.value * ln_b, math.log(tiny))
+            expected = min(max(-row.entropy.value * ln_b, math.log(tiny)), math.log(huge))
             if got != expected and not abs(got - expected) <= max(1e-10, 2.0 * math.ulp(p) / p):
                 with np.errstate(over="ignore"):
                     miss = float(np.expm1(got - expected))
@@ -173,9 +175,9 @@ class SpectrumTable:
                     order=row.order,
                     residual=miss,
                 )
-            if row.derivative is not None and row.derivative > 0.0:
+            if row.derivative is not None and not row.derivative <= 0.0:
                 raise SpectrumConsistencyError(
-                    f"positive spectrum slope {row.derivative!r} at order {row.order}",
+                    f"spectrum slope {row.derivative!r} is not <= 0 at order {row.order}",
                     order=row.order,
                     residual=row.derivative,
                 )
@@ -193,32 +195,50 @@ def sample_spectrum(
     """Evaluate entropy, equivalent probability, potential, and slope of
     ``m`` on every order of ``grid``, and validate the result.
 
-    Potential and slope are None on the +-inf rows, where they are not
-    defined.  The measure is trusted as built and its logs are taken once;
-    one kernel call then evaluates every finite order, and each row equals
-    what ``shifted_entropy``, ``equivalent_probability``,
+    This is :func:`_table` on the log-support of ``m`` against itself: the
+    measure is trusted as built, its logs are taken once, and one kernel
+    call evaluates every finite order.  Each row equals what
+    ``shifted_entropy``, ``equivalent_probability``,
     ``information_potential`` and ``entropy_derivative`` return at its
-    order.  The returned table has already passed
+    order; potential and slope are None on the +-inf rows, where they are
+    not defined.  The returned table has already passed
     :meth:`SpectrumTable.validate`.
+    """
+    return _table(_LogSupport(m.weights, m.weights), grid, base, m.total)
+
+
+def _table(support: _LogSupport, grid: OrderGrid, base: float, total: float) -> SpectrumTable:
+    """The validated spectrum table of any log-support: at every order of
+    ``grid``, entropy ``-ln M_r / ln b``, equivalent probability ``M_r``,
+    potential ``M_r**r`` and slope ``-(d ln M_r / dr) / ln b``.
+
+    A spectrum is the support of ``(w, w)``; the divergence ``D_r(p || q)``
+    is minus the entropy column of the support of ``(p, p/q)``, which obeys
+    the same laws.  One kernel call evaluates the finite orders, and the
+    +-inf rows are the exact extremes, with no potential or slope.  The
+    slope needs every value positive and finite, as every spectrum's is;
+    on a support holding 0 or inf it is None at every order.
     """
     base = _check_base(base)
     ln_b = math.log(base)
-    support = _LogSupport(m.weights, m.weights)
-    log_means, slopes = _log_mean_slope(support, grid.finite_orders)
-    finite = zip(log_means.tolist(), slopes.tolist())
+    kernel = _log_mean_slope if support.finite else _log_moments
+    log_means, slopes = kernel(support, grid.finite_orders)
+    # 0.0 - x, not -x: a zero slope gives +0.0
+    derivatives = repeat(None) if slopes is None else (0.0 - slopes / ln_b).tolist()
+    finite = zip(log_means.tolist(), derivatives)
     rows = []
     for r in grid.orders():
         if math.isinf(r):
             entropy = EntropyValue(-support.log_mean(r) / ln_b, base, r)
             rows.append(SpectrumRow(r, entropy, support.mean(r), None, None))
             continue
-        log_mean, slope = next(finite)
+        log_mean, derivative = next(finite)
         with np.errstate(over="ignore"):
             prob = float(np.exp(log_mean))
             potential = float(np.exp(r * log_mean))
         entropy = EntropyValue(-log_mean / ln_b, base, r)
-        rows.append(SpectrumRow(r, entropy, prob, potential, min(0.0, -slope / ln_b)))
-    table = SpectrumTable(tuple(rows), base, m.total)
+        rows.append(SpectrumRow(r, entropy, prob, potential, derivative))
+    table = SpectrumTable(tuple(rows), base, total)
     table.validate()
     return table
 

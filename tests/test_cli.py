@@ -389,8 +389,10 @@ class TestDivergenceCommand:
     def test_one_kernel_call_per_column(
         self, capsys, monkeypatch, tmp_path, uniform_csv, q_rows, orders
     ):
-        """Each column is one kernel call over the grid, and every value is
-        bitwise what the one-order call at its row gives."""
+        """Each column is one kernel call over the grid's finite orders, made
+        by the table builder in ``srenyi.spectrum`` (the +-inf rows take no
+        pass), and every value is bitwise what the one-order call at its row
+        gives."""
         if q_rows is None:
             p_path, q_path = tmp_path / "ucb.csv", uniform_csv
             p_path.write_text("".join(f"{l},{c}\n" for l, c in zip(UCB_LABELS, UCB_COUNTS)))
@@ -398,19 +400,21 @@ class TestDivergenceCommand:
             p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
             p_path.write_text("a,1e10\nb,1e-300\nc,1\n")
             q_path.write_text("".join(f"{l},{w}\n" for l, w in q_rows.items()))
-        kernel, calls, tables = srenyi.cli._log_moments, [], []
+        calls, tables = [], []
+        for name in ("_log_moments", "_log_mean_slope"):
+            kernel = getattr(srenyi.spectrum, name)
 
-        def counting(s, rs, escort=False):
-            calls.append(len(rs))
-            return kernel(s, rs, escort)
+            def counting(s, rs, kernel=kernel):
+                calls.append(len(rs))
+                return kernel(s, rs)
 
-        monkeypatch.setattr(srenyi.cli, "_log_moments", counting)
+            monkeypatch.setattr(srenyi.spectrum, name, counting)
         monkeypatch.setattr(srenyi.cli, "_write_table", lambda *args: tables.append(args))
         argv = ["divergence", str(p_path), str(q_path), "--base", "e"]
         assert run(capsys, argv + ([f"--orders={orders}"] if orders else []))[0] == 0
         (_, _, meta, header, rows), = tables
         grid = srenyi.cli.parse_orders(orders)
-        assert calls == [len(grid)] * (len(header) - 1)
+        assert calls == [len(grid.finite_orders)] * (len(header) - 1)
         p, q = read_measure(str(p_path)), read_measure(str(q_path))
         support = srenyi.info._divergence_support(p, q)
         own = srenyi.means._LogSupport(p.weights, p.weights)
@@ -419,6 +423,39 @@ class TestDivergenceCommand:
             assert row[:2] == (r, support.log_mean(r))
             if meta["uniform_reference"]:
                 assert row[2] == check + own.log_mean(r)
+
+    def test_falling_column_exits_3(self, capsys, monkeypatch, ucb_csv, tmp_path):
+        """The divergence column passes the spectrum's laws: a column that
+        falls from one order to the next is never printed."""
+        kernel = srenyi.spectrum._log_mean_slope
+
+        def falling(s, rs):
+            log_mean, slope = kernel(s, rs)
+            log_mean[60] = log_mean[59] - 1e-9
+            return log_mean, slope
+
+        monkeypatch.setattr(srenyi.spectrum, "_log_mean_slope", falling)
+        q = tmp_path / "q.csv"
+        q.write_text("".join(f"{l},{w}\n" for l, w in zip(UCB_LABELS, range(1, 7))))
+        code, out, err = run(capsys, ["divergence", ucb_csv, str(q)])
+        grid = srenyi.cli.parse_orders(None).finite_orders
+        assert (code, out) == (3, "")
+        assert f"from order {grid[59]} to {grid[60]}" in err
+
+    def test_ratio_past_the_doubles(self, capsys, tmp_path):
+        """p/q overflows to inf on "a", so at r < 0 the mean passes the
+        largest double while ln M_r does not: the column passes and prints."""
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        p.write_text("a,1e10\nb,1\n")
+        q.write_text("a,1e-310\nb,1\n")
+        code, out, _ = run(capsys, ["divergence", str(p), str(q), "--orders=-1,-0.03,0.5"])
+        assert code == 0
+        _, data = parse_csv_table(out)
+        p_measure, q_measure = read_measure(str(p)), read_measure(str(q))
+        for order, div in data:
+            expected = srenyi.shifted_divergence(p_measure, q_measure, float(order))
+            assert float(div) == expected.value
+        assert [float(div) for _, div in data][1:] == [pytest.approx(1107.309360983), math.inf]
 
     def test_overflowing_ratio_prints_one_error_line(self, tmp_path):
         # p/q overflows to inf on "a" and underflows to 0 on "b", so the

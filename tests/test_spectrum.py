@@ -218,6 +218,11 @@ class TestValidateFailures:
         err = self._fails(self._row(0.5, 1.0, 0.5, slope=0.25))
         assert (err.order, err.neighbour, err.residual) == (0.5, None, 0.25)
 
+    def test_nan_slope(self):
+        err = self._fails(self._row(0.5, 1.0, 0.5, slope=math.nan))
+        assert (err.order, err.neighbour) == (0.5, None)
+        assert math.isnan(err.residual)
+
 
 class TestValidateAtTheEdgesOfTheDoubles:
     """``validate`` compares ``equiv_prob`` with ``base**(-entropy)`` in
@@ -241,14 +246,26 @@ class TestValidateAtTheEdgesOfTheDoubles:
 
     @pytest.mark.parametrize(
         "entropy, prob",
-        [(INF, 0.0), (-INF, INF), (2000.0, 0.0), (-1024.0, 1.7976931348622732e308)],
+        [
+            (INF, 0.0),
+            (-INF, INF),
+            (2000.0, 0.0),
+            (-1024.0, 1.7976931348622732e308),
+            (-1200.0, INF),  # a divergence's M_r can pass the largest double
+        ],
     )
     def test_probability_past_the_doubles(self, entropy, prob):
         SpectrumTable((self._row(entropy, prob),), 2.0, 1.0).validate()
 
     @pytest.mark.parametrize(
         "entropy, prob, residual",
-        [(5.0, 0.0, -1.0), (math.nan, 0.5, None), (1.0, math.nan, None), (1.0, 0.5 * (1 + 2e-10), 2e-10)],
+        [
+            (5.0, 0.0, -1.0),
+            (math.nan, 0.5, None),
+            (1.0, math.nan, None),
+            (1.0, 0.5 * (1 + 2e-10), 2e-10),
+            (-1200.0, 1e300, -1.0),
+        ],
     )
     def test_inconsistent_rows_still_fail(self, entropy, prob, residual):
         with pytest.raises(SpectrumConsistencyError) as exc:
@@ -304,6 +321,65 @@ class TestUnnormalizedSeam:
             r = 1.0 / float(np.abs(np.log(w)).max())
             grid = OrderGrid((-1.05 * r, -0.95 * r, 0.0, 0.95 * r, 1.05 * r))
             sample_spectrum(self._measure(w), grid)
+
+
+class TestDivergenceTables:
+    """The divergence ``D_r(p || q)`` is minus the entropy column of the
+    spectrum table of ``(p, p/q)``, and such tables pass
+    ``SpectrumTable.validate`` with its slack as it is, on every kind of
+    ratio: each sweep builds default-grid columns through
+    ``spectrum._table``, and every column must pass."""
+
+    GRID = OrderGrid.default()
+
+    @staticmethod
+    def _pair(rng, kind):
+        n = int(rng.integers(2, 201))
+        p = rng.uniform(0.05, 1.0, n)
+        if kind == "uniform":
+            q = p * 10.0 ** rng.uniform(-5.0, 5.0)
+        elif kind == "log-uniform":
+            q = p * 10.0 ** rng.uniform(-12.0, 0.0, n)
+        elif kind == "1e150":
+            q = p * 10.0 ** rng.uniform(-150.0, 150.0, n)
+        elif kind == "1e300":
+            q = p * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        elif kind == "e700":
+            q = p * np.exp(rng.uniform(-700.0, 700.0, n))
+        elif kind == "wide weights":
+            p, q = 10.0 ** rng.uniform(-320.0, 300.0, n), np.ones(n)
+        elif kind == "counts":
+            p = rng.integers(0, 10, n).astype(float)
+            p[rng.integers(n)] = float(rng.integers(1, 10))
+            q = rng.integers(1, 10, n).astype(float)
+        elif kind == "past the doubles":
+            # one ratio overflows to inf and holds nearly all of p's mass,
+            # so M_r at small r < 0 passes the largest double
+            q = p * 10.0 ** rng.uniform(-12.0, 0.0, n)
+            k = rng.integers(n)
+            p[k], q[k] = 1e12, 1e-310
+        else:  # near-flat ratios
+            q = p / (10.0 ** rng.uniform(-300.0, 300.0) * (1.0 + 1e-12 * rng.random(n)))
+        labels = tuple(f"x{i}" for i in range(n))
+        return MassMeasure(labels, p), MassMeasure(labels, q)
+
+    @pytest.mark.parametrize(
+        "seed, kinds, count",
+        [
+            (1, ("uniform", "log-uniform", "1e150", "near-flat"), 200),
+            (2, ("1e300", "e700", "wide weights", "counts", "past the doubles", "near-flat"), 360),
+            (3, ("near-flat",), 400),
+        ],
+        ids=["mixed", "extreme", "near-flat"],
+    )
+    def test_sweep(self, seed, kinds, count):
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            p, q = self._pair(rng, kinds[k % len(kinds)])
+            support = srenyi.info._divergence_support(p, q)
+            table = srenyi.spectrum._table(support, self.GRID, 2.0, p.total)
+            slopes = [row.derivative for row in table.rows if math.isfinite(row.order)]
+            assert all(d is not None for d in slopes) == support.finite
 
 
 class TestInvertProbability:
