@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 ArrayLike = Sequence[float] | np.ndarray
+# ln M_r at each order of a kernel pass or call, and the escort mean or None
+_Moments = tuple[np.ndarray, np.ndarray | None]
 
 
 def _check_weights(weights: ArrayLike) -> np.ndarray:
@@ -93,6 +95,10 @@ def _check_order(r: float) -> float:
 # values on, every order has a pass of its own.  Of 2**12 to 2**20, 2**16
 # evaluated the default grid fastest at n = 200 to 6 * 10**4 (one core).
 _PASS_ELEMENTS = 2**16
+# Longest row whose escort dot product is left to BLAS: OpenBLAS (numpy 2.4)
+# splits a dot across threads from about 10**4 values on, and its sum then
+# depends on OPENBLAS_NUM_THREADS
+_BLAS_DOT_VALUES = 2**13
 
 
 def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,9 +190,23 @@ def _passes(idx: Sequence[int] | np.ndarray, n: int) -> list[np.ndarray]:
     return [idx[i:i + k] for i in range(0, idx.size, k)]
 
 
-def _log_sum_exp_pass(
-    s: _LogSupport, r: np.ndarray, escort: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _escort_mean(rho: np.ndarray, log_x: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The escort log mean ``E_rho[ln x] = (rho . ln x) / total`` of each
+    row ``rho`` of (unnormalized) escort weights, whose sums are ``total``.
+
+    This is the only place where escort weights meet ``ln x``.  Each row's
+    dot product is bitwise what that row alone gives, whatever rows share
+    the call, and depends on nothing but the input: up to
+    ``_BLAS_DOT_VALUES`` values a stacked matmul (one BLAS dot per row),
+    above it, where OpenBLAS splits a dot across threads, a BLAS-free
+    einsum per row.
+    """
+    if log_x.size <= _BLAS_DOT_VALUES:
+        return np.matmul(rho[:, None, :], log_x)[:, 0] / total
+    return np.fromiter((np.einsum("j,j->", row, log_x) for row in rho), float, len(rho)) / total
+
+
+def _log_sum_exp_pass(s: _LogSupport, r: np.ndarray, escort: bool) -> _Moments:
     """``ln M_r = (top + ln(total)) / r`` at the orders ``r`` from one
     shifted exponential pass over the log escort weights
     ``ln w_hat + r * ln x``, one row per order, and the escort mean from
@@ -195,27 +215,30 @@ def _log_sum_exp_pass(
     top, a, total = _shifted_exp_rows(s, r)
     # math.log, not np.log: numpy's vectorized log may differ in the last bit
     log_mean = (top + np.fromiter(map(math.log, total.tolist()), float, total.size)) / r
-    # a stacked matmul, one dot product per row: each row is bitwise what
-    # np.dot(row, ln x) gives, whatever rows share the call
-    return log_mean, np.matmul(a[:, None, :], s.log_x)[:, 0] / total if escort else None
+    return log_mean, _escort_mean(a, s.log_x, total) if escort else None
 
 
-def _expm1_pass(s: _LogSupport, r: np.ndarray) -> np.ndarray:
+def _expm1_pass(s: _LogSupport, r: np.ndarray, escort: bool) -> _Moments:
     """``ln M_r`` at near-zero orders ``r``, as
-    ``log1p(sum w_hat * expm1(r ln x)) / r``; expm1(-inf) = -1 and
-    expm1(inf) = inf keep the zero/inf value conventions intact."""
+    ``log1p(sum w_hat * t) / r`` with ``t = expm1(r ln x)``, and the escort
+    mean from the same terms; expm1(-inf) = -1 and expm1(inf) = inf keep
+    the zero/inf value conventions intact.  Every ``|r ln x| <= 1`` here,
+    so the escort weights ``w_hat + w_hat * t`` need no shift, and their
+    total is ``1 + sum w_hat * t``, the sum that gives ``ln M_r``."""
     terms = np.multiply.outer(r, s.log_x)
     np.expm1(terms, out=terms)
     terms *= s.norm_w
     excess = terms.sum(axis=1)
     # log1p(-1) = -inf, and at a subnormal r the division can overflow
     with np.errstate(divide="ignore", over="ignore"):
-        return np.log1p(np.maximum(excess, -1.0)) / r
+        log_mean = np.log1p(np.maximum(excess, -1.0)) / r
+    if not escort:
+        return log_mean, None
+    terms += s.norm_w
+    return log_mean, _escort_mean(terms, s.log_x, 1.0 + excess)
 
 
-def _log_moments(
-    s: _LogSupport, orders: Sequence[float] | np.ndarray, escort: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Moments:
     """``ln M_r`` of a log-support at every order of ``orders`` and, when
     ``escort`` is set, the escort log mean ``E_rho[ln x]`` with
     ``rho_i ~ w_i * x_i**r``.
@@ -224,7 +247,9 @@ def _log_moments(
     :func:`log_power_mean` documents the branches and conventions.  The
     log-sum-exp and expm1 orders are evaluated in (orders x values) passes
     of at most ``_PASS_ELEMENTS``, and every value is bitwise what a
-    one-order call gives.  The escort needs every value positive and
+    one-order call gives.  Each such order takes exactly one exponential
+    pass, and its escort mean comes from that pass's own array, through
+    :func:`_escort_mean`.  The escort needs every value positive and
     finite; it is NaN at ``+-inf``, at ``r = 0`` and in the subnormal
     series.
     """
@@ -260,14 +285,11 @@ def _log_moments(
             # with the slope at r = 0 and an O(r^2) truncation error that is
             # unobservable here
             log_mean[series] = geo + rs[series] * _kl_slope(s, np.zeros(1), np.array([geo]))[0]
-    for idx in _passes(lse, log_x.size):
-        log_mean[idx], escort_here = _log_sum_exp_pass(s, rs[idx], escort)
-        if escort:
-            escort_mean[idx] = escort_here
-    for idx in _passes(near, log_x.size):
-        log_mean[idx] = _expm1_pass(s, rs[idx])
-        if escort:
-            escort_mean[idx] = _log_sum_exp_pass(s, rs[idx], escort=True)[1]
+    for branch, kernel_pass in ((lse, _log_sum_exp_pass), (near, _expm1_pass)):
+        for idx in _passes(branch, log_x.size):
+            log_mean[idx], escort_here = kernel_pass(s, rs[idx], escort)
+            if escort:
+                escort_mean[idx] = escort_here
     # a power mean lies between the extreme values, which rounding alone
     # can carry ln M_r an ulp past
     np.maximum(log_mean, s.log_lo, out=log_mean)
@@ -308,9 +330,7 @@ def _kl_slope(s: _LogSupport, rs: np.ndarray, log_mean: np.ndarray) -> np.ndarra
     return h.sum(axis=1)
 
 
-def _log_mean_slope(
-    s: _LogSupport, orders: Sequence[float] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _log_mean_slope(s: _LogSupport, orders: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """``(ln M_r, d ln M_r / dr)`` at every order of ``orders``, all finite;
     every value on the support must be positive and finite.
 

@@ -121,9 +121,14 @@ def reference_log_moments(weights, values, r, escort=False):
     """``(ln M_r, E_rho[ln x] or None)`` at one order by the textbook
     out-of-place formulas: a max-shifted ``exp(a - top)`` for the
     log-sum-exp branch, ``sum(w_hat * expm1(r ln x))`` near order zero, with
-    the same branch thresholds as the library kernel.  The escort comes from
-    the shifted exponential pass and is None at +-inf, at ``r = 0`` and in
-    the subnormal series.  Every temporary is a fresh array.  ``ln w_hat``
+    the same branch thresholds as the library kernel.  The escort mean is
+    ``dot(rho, ln x) / total`` over the terms that give ``ln M_r``: the
+    shifted exponentials ``e`` with ``total = sum(e)`` on the log-sum-exp
+    branch, and ``rho = w_hat + w_hat * expm1(r ln x)`` with
+    ``total = 1 + sum(w_hat * expm1(r ln x))`` near order zero.  The dot is
+    ``np.dot`` up to 8192 values and ``np.einsum`` above, which no BLAS
+    thread count can change.  The escort is None at +-inf, at ``r = 0`` and
+    in the subnormal series.  Every temporary is a fresh array.  ``ln w_hat``
     is ``ln w - ln W`` after the weights and ``W`` are divided by ``2**e``,
     ``e = round(log2 W)``, an exact shift, except where a weight would leave
     the normal range; there it is ``ln w - ln W`` as they are.
@@ -162,6 +167,10 @@ def _unbounded_log_moments(weights, values, r, escort):
         e = np.exp(a - top)
         return top, e, float(e.sum())
 
+    def escort_mean(rho, total):
+        dot = np.dot(rho, log_x) if log_x.size <= 8192 else np.einsum("j,j->", rho, log_x)
+        return float(dot) / total
+
     if math.isinf(r):
         return float(log_x.max() if r > 0 else log_x.min()), None
     if r == 0.0:
@@ -170,18 +179,28 @@ def _unbounded_log_moments(weights, values, r, escort):
     if abs(r) * scale > 1.0:
         top, e, e_total = shifted(log_w + scaled)
         log_mean = (top + math.log(e_total)) / r
-        return log_mean, float(np.dot(e, log_x)) / e_total if escort else None
+        return log_mean, escort_mean(e, e_total) if escort else None
     if finite.all() and abs(r) * scale < 1e-300:
         geo = float(np.sum(norm_w * log_x))
         var = float(np.sum(norm_w * (log_x - geo) ** 2))
         return geo + 0.5 * r * var, None
-    excess = float(np.sum(norm_w * np.expm1(scaled)))
+    terms = norm_w * np.expm1(scaled)
+    excess = float(np.sum(terms))
     with np.errstate(divide="ignore"):
         log_mean = float(np.log1p(max(excess, -1.0)) / r)
-    if not escort:
-        return log_mean, None
-    _, e, e_total = shifted(log_w + scaled)
-    return log_mean, float(np.dot(e, log_x)) / e_total
+    return log_mean, escort_mean(norm_w + terms, 1.0 + excess) if escort else None
+
+
+def _centred_logs(pairs):
+    """``(w_hat, mu, d)`` of positive ``(weight, value)`` float pairs in the
+    current decimal context: the normalized weights, the ``w_hat``-mean
+    ``mu`` of ``ln x`` and the centred logs ``d = ln x - mu``, each float
+    converted exactly."""
+    total = sum(Decimal(wi) for wi, _ in pairs)
+    w_hat = [Decimal(wi) / total for wi, _ in pairs]
+    logs = [Decimal(xi).ln() for _, xi in pairs]
+    mu = sum(wh * lx for wh, lx in zip(w_hat, logs))
+    return w_hat, mu, [lx - mu for lx in logs]
 
 
 def reference_log_mean_slope(weights, values, r, digits=50):
@@ -193,21 +212,26 @@ def reference_log_mean_slope(weights, values, r, digits=50):
     other value must be positive and finite.  ``ln x`` is centred at its
     ``w_hat``-mean ``mu`` (``d = ln x - mu``), so that with the centred
     log-moment ``K(r) = ln sum w_hat * exp(r d)`` the slope is
-    ``(r K' - K) / r**2`` and ``ln M_r = mu + K / r``.  ``K`` is the log of
-    ``1 + O((r d)**2)``, which costs about ``-2 log10(|r| * spread)``
-    digits; that many guard digits are added to the working precision.
+    ``(r K' - K) / r**2`` and ``ln M_r = mu + K / r``.  Guard digits are
+    added to the working precision for two cancellations in the slope.
+    ``K`` is the log of ``1 + O((r d)**2)``, which costs about
+    ``-2 log10(|r| * spread)`` digits.  And where one entry holds all but a
+    share ``delta`` of ``w_hat``, its ``d`` is of order ``delta * spread``,
+    the difference of two logs of order ``spread``, while the slope is of
+    order ``delta``: that costs about ``log10((1 - delta) / delta)`` digits
+    (up to 600 with weights over 1e+-300, where 60 digits without this
+    guard gave negative slopes).
     """
     pairs = [(float(wi), float(xi)) for wi, xi in zip(weights, values) if wi > 0]
     spread = math.log(max(x for _, x in pairs)) - math.log(min(x for _, x in pairs))
     t = abs(float(r)) * spread
     guard = 2 * max(0, math.ceil(-math.log10(t))) if t > 0 else 0
+    *rest, top = sorted(wi for wi, _ in pairs)
+    if rest:
+        guard += max(0, math.ceil(math.log10(top) - math.log10(sum(rest))))
     with localcontext() as ctx:
         ctx.prec = digits + 10 + guard
-        total = sum(Decimal(wi) for wi, _ in pairs)
-        w_hat = [Decimal(wi) / total for wi, _ in pairs]
-        logs = [Decimal(xi).ln() for _, xi in pairs]
-        mu = sum(wh * lx for wh, lx in zip(w_hat, logs))
-        d = [lx - mu for lx in logs]
+        w_hat, mu, d = _centred_logs(pairs)
         if r == 0.0:
             return float(mu), float(sum(wh * di * di for wh, di in zip(w_hat, d)) / 2)
         rd = Decimal(float(r))
@@ -216,6 +240,22 @@ def reference_log_mean_slope(weights, values, r, digits=50):
         s1 = sum(wh * di * ei for wh, di, ei in zip(w_hat, d, e))
         k = s0.ln()
         return float(mu + k / rd), float((rd * s1 / s0 - k) / (rd * rd))
+
+
+def reference_escort_log_mean(weights, values, r, digits=30):
+    """The escort log mean ``E_rho[ln x]``, ``rho ~ w_hat * x**r``, at a
+    finite order ``r``, to about ``digits`` significant digits in stdlib
+    ``decimal`` arithmetic, as ``mu + sum(w_hat d e**(r d)) / sum(w_hat
+    e**(r d))`` with the centred logs of :func:`reference_log_mean_slope`.
+    Its rounding is absolute, about ``10**-digits * spread``, far below a
+    double's, so it needs no guard digits."""
+    pairs = [(float(wi), float(xi)) for wi, xi in zip(weights, values) if wi > 0]
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        w_hat, mu, d = _centred_logs(pairs)
+        rd = Decimal(float(r))
+        rho = [wh * (rd * di).exp() for wh, di in zip(w_hat, d)]
+        return float(mu + sum(ri * di for ri, di in zip(rho, d)) / sum(rho))
 
 
 def reference_label_groups(m: MassMeasure) -> tuple[list[str], list[float]]:

@@ -675,6 +675,26 @@ def child_env():
     return env
 
 
+def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Stdout, the derivative column included, is the same at one and at two
+    BLAS threads on 2 * 10**4 weights, whose escort dot products are long
+    enough for OpenBLAS to split across threads."""
+    w = 10.0 ** (-12.0 * np.random.default_rng(1).random(2 * 10**4))
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(f"x{i},{v!r}\n" for i, v in enumerate(w.tolist())))
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "srenyi", "spectrum", str(path)],
+            capture_output=True,
+            timeout=60,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, srenyi.cli; sys.exit(int('scipy' in sys.modules))"
     proc = subprocess.run(
