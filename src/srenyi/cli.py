@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -45,6 +45,7 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import DEFAULT_BASE, _check_base, _divergence_support
+from .means import _LogSupport
 from .measures import MassMeasure, _probabilities, normalize
 from .spectrum import OrderGrid, _invert, _table, recover_distribution_probe, sample_spectrum
 
@@ -151,6 +152,14 @@ def _measure_from_csv(path: str, head: str, fh: TextIO) -> MassMeasure:
     return MassMeasure(labels, np.concatenate(weights))
 
 
+# What the byte pass of _plain_block keeps: every byte that can shape a row
+# (comma, newline, quote, comment, NUL) and the ASCII bytes that str.strip
+# strips.  UTF-8 encodes every other character in bytes that are deleted.
+_SPACE = bytes(c for c in range(128) if chr(c).isspace() and c != 10)
+_NOT_SHAPE = bytes(c for c in range(256) if c not in b',\n"#\0' + _SPACE)
+_ROW_SHAPE = b",\n"
+
+
 def _plain_block(block: str) -> tuple[list[str], np.ndarray] | None:
     """The labels and weights of a block of whole lines in which the row
     rules reduce to "label = cell 0 stripped, weight = float(cell 1)", or
@@ -158,26 +167,29 @@ def _plain_block(block: str) -> tuple[list[str], np.ndarray] | None:
 
     So it is when no row can be quoted, a comment, blank, a header, over
     the field size limit or refused by ``csv.reader`` (which rejects NUL
-    before Python 3.11): the block has no ``"``, ``#`` or NUL, it is
-    shorter than ``csv.field_size_limit()``, each of its lines holds
-    exactly one comma, and every weight cell is a number.
+    before Python 3.11): the block is shorter than
+    ``csv.field_size_limit()``, what one byte pass keeps of it, less the
+    whitespace, is one ``,\\n`` per line (so no ``"``, ``#`` or NUL, and
+    exactly one comma a line), and every weight cell is a number.  Labels
+    are stripped only where there can be something to strip: in a block
+    that holds whitespace or a character past ASCII.
     """
-    if '"' in block or "#" in block or "\0" in block:
-        return None
     if len(block) >= csv.field_size_limit():
         return None
-    lines = block.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    n = len(lines)
-    if block.count(",") != n or not all(map(operator.contains, lines, repeat(","))):
+    shape = block.encode().translate(None, _NOT_SHAPE)
+    rows = shape.translate(None, _SPACE)
+    if rows != _ROW_SHAPE * (len(rows) // 2) + (b"" if block[-1] == "\n" else b","):
         return None
+    n = (len(rows) + 1) // 2  # lines, the last perhaps without its newline
     cells = block.replace("\n", ",").split(",")
     try:
         weights = np.fromiter(map(float, cells[1 : 2 * n : 2]), float, n)
     except ValueError:
         return None
-    return list(map(str.strip, cells[0 : 2 * n : 2])), weights
+    labels = cells[0 : 2 * n : 2]
+    if len(rows) != len(shape) or not block.isascii():
+        labels = list(map(str.strip, labels))
+    return labels, weights
 
 
 def _csv_rows(block: str, fh: TextIO) -> Iterator[list[str]]:
@@ -401,7 +413,7 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     q = read_measure(args.q_input)
     # labels are aligned once; D_r is minus the entropy column of the
     # spectrum table of (p, p/q), which has passed the spectrum's laws
-    table = _table(_divergence_support(p, q), grid, base, p.total)
+    table = _table(_divergence_support(p, q), grid, base, p.total, slope=False)
     header = ["order", "divergence"]
     rows = [(row.order, -row.entropy.value) for row in table.rows]
     q_support = q.weights[q.weights > 0]
@@ -410,8 +422,8 @@ def cmd_divergence(args: argparse.Namespace) -> int:
         ln_b = math.log(base)
         check_const = math.log(q_support.size) / ln_b - math.log(q.total) / ln_b
         header.append("uniform_check")
-        own = sample_spectrum(p, grid, base).entropies()
-        rows = [(r, div, check_const - h) for (r, div), h in zip(rows, own)]
+        own = _table(_LogSupport(p.weights, p.weights), grid, base, p.total, slope=False)
+        rows = [(r, div, check_const - h) for (r, div), h in zip(rows, own.entropies())]
     meta = {"base": base, "uniform_reference": uniform}
     _write_table(args.format, "divergence", meta, header, rows)
     return EXIT_OK
@@ -526,5 +538,20 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
+def run() -> None:
+    """The ``srenyi`` console script and ``python -m srenyi``: :func:`main`
+    on the process arguments, then exit with its code.
+
+    The heap is frozen first, so that interpreter teardown does not walk
+    and free numpy's import-time cyclic objects one by one, which costs a
+    process about 20 ms; the process ends just after.  atexit handlers
+    still run, and stdout and stderr are still flushed.  :func:`main`
+    itself never freezes: tests and embedders call it in their own process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

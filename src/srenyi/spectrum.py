@@ -207,7 +207,9 @@ def sample_spectrum(
     return _table(_LogSupport(m.weights, m.weights), grid, base, m.total)
 
 
-def _table(support: _LogSupport, grid: OrderGrid, base: float, total: float) -> SpectrumTable:
+def _table(
+    support: _LogSupport, grid: OrderGrid, base: float, total: float, *, slope: bool = True
+) -> SpectrumTable:
     """The validated spectrum table of any log-support: at every order of
     ``grid``, entropy ``-ln M_r / ln b``, equivalent probability ``M_r``,
     potential ``M_r**r`` and slope ``-(d ln M_r / dr) / ln b``.
@@ -216,12 +218,14 @@ def _table(support: _LogSupport, grid: OrderGrid, base: float, total: float) -> 
     is minus the entropy column of the support of ``(p, p/q)``, which obeys
     the same laws.  One kernel call evaluates the finite orders, and the
     +-inf rows are the exact extremes, with no potential or slope.  The
-    slope needs every value positive and finite, as every spectrum's is;
-    on a support holding 0 or inf it is None at every order.
+    slope is taken only when ``slope`` is set, for a caller that keeps it,
+    as :func:`sample_spectrum` does.  It needs every value positive and
+    finite, as every spectrum's is; on a support holding 0 or inf, or
+    without ``slope``, it is None at every order.
     """
     base = _check_base(base)
     ln_b = math.log(base)
-    kernel = _log_mean_slope if support.finite else _log_moments
+    kernel = _log_mean_slope if slope and support.finite else _log_moments
     log_means, slopes = kernel(support, grid.finite_orders)
     # 0.0 - x, not -x: a zero slope gives +0.0
     derivatives = repeat(None) if slopes is None else (0.0 - slopes / ln_b).tolist()

@@ -6,6 +6,7 @@ final test goes through a real subprocess.
 """
 
 import csv
+import gc
 import io
 import json
 import math
@@ -427,20 +428,40 @@ class TestDivergenceCommand:
     def test_falling_column_exits_3(self, capsys, monkeypatch, ucb_csv, tmp_path):
         """The divergence column passes the spectrum's laws: a column that
         falls from one order to the next is never printed."""
-        kernel = srenyi.spectrum._log_mean_slope
+        kernel = srenyi.spectrum._log_moments
 
         def falling(s, rs):
-            log_mean, slope = kernel(s, rs)
+            log_mean, escort_mean = kernel(s, rs)
             log_mean[60] = log_mean[59] - 1e-9
-            return log_mean, slope
+            return log_mean, escort_mean
 
-        monkeypatch.setattr(srenyi.spectrum, "_log_mean_slope", falling)
+        monkeypatch.setattr(srenyi.spectrum, "_log_moments", falling)
         q = tmp_path / "q.csv"
         q.write_text("".join(f"{l},{w}\n" for l, w in zip(UCB_LABELS, range(1, 7))))
         code, out, err = run(capsys, ["divergence", ucb_csv, str(q)])
         grid = srenyi.cli.parse_orders(None).finite_orders
         assert (code, out) == (3, "")
         assert f"from order {grid[59]} to {grid[60]}" in err
+
+    @pytest.mark.parametrize("reference", ["uniform", "skewed"])
+    def test_takes_no_slope(self, capsys, monkeypatch, ucb_csv, uniform_csv, tmp_path, reference):
+        """Neither the divergence column nor the spectrum of p behind
+        uniform_check prints a slope, so neither takes one."""
+        kernel, calls = srenyi.spectrum._log_mean_slope, []
+
+        def counting(s, rs):
+            calls.append(len(rs))
+            return kernel(s, rs)
+
+        monkeypatch.setattr(srenyi.spectrum, "_log_mean_slope", counting)
+        q = uniform_csv
+        if reference == "skewed":
+            q = tmp_path / "q.csv"
+            q.write_text("".join(f"{l},{w}\n" for l, w in zip(UCB_LABELS, range(1, 7))))
+        code, out, _ = run(capsys, ["divergence", ucb_csv, str(q)])
+        assert code == 0
+        assert out.startswith(f"# base=2.0\n# uniform_reference={str(reference == 'uniform').lower()}\n")
+        assert calls == []
 
     def test_ratio_past_the_doubles(self, capsys, tmp_path):
         """p/q overflows to inf on "a", so at r < 0 the mean passes the
@@ -710,6 +731,67 @@ def test_scipy_not_declared():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert not [dep for dep in project["dependencies"] if dep.startswith("scipy")]
+
+
+def test_main_does_not_freeze_the_heap(capsys, ucb_csv):
+    """Only the process entry point freezes; main() runs in its caller's
+    process, whose heap stays collectable."""
+    frozen = gc.get_freeze_count()
+    assert run(capsys, ["spectrum", ucb_csv, "--orders", "named"])[0] == 0
+    assert run(capsys, ["spectrum", ucb_csv, "--orders", "nope"])[0] == 2
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["spectrum", "{bad}"], 1, "{bad}: expected 'label,weight' rows, got 3 cells: ['a', '1', '9']"),
+        (
+            ["spectrum", "{ucb}", "--orders", "1,2,nope"],
+            2,
+            "invalid --orders value '1,2,nope': could not convert string to float: 'nope'",
+        ),
+        (
+            ["invert", "{ucb}", "--target", "0.99"],
+            5,
+            "target 0.99 outside the attainable range "
+            "[0.12903225806451613, 0.20614228899690676]",
+        ),
+    ],
+    ids=["malformed_file", "bad_orders", "target_out_of_range"],
+)
+def test_entry_point_keeps_exit_code_and_error_line(tmp_path, ucb_csv, argv, code, message):
+    """``python -m srenyi``, which freezes the heap before it exits, keeps
+    main()'s exit code, empty stdout and its one error line."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,1,9\nb,2\n")
+    paths = {"bad": str(bad), "ucb": ucb_csv}
+    proc = subprocess.run(
+        [sys.executable, "-m", "srenyi", *(a.format(**paths) for a in argv)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == f"srenyi: error: {message.format(**paths)}\n"
+
+
+def test_entry_point_freezes_before_atexit(ucb_csv):
+    """The entry point freezes the heap after main() and then exits as
+    before: atexit handlers run and see the frozen heap, and stdout is
+    flushed."""
+    code = (
+        "import atexit, gc, sys, srenyi.cli; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        f"sys.argv = ['srenyi', 'spectrum', {ucb_csv!r}, '--orders', 'named']; "
+        "srenyi.cli.run()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=child_env()
+    )
+    assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+    assert proc.stdout.startswith("# n=6") and proc.stdout.endswith("\n")
 
 
 def test_subprocess_entrypoint(ucb_csv):

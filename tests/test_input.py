@@ -189,6 +189,33 @@ def test_bench_sized_file_matches_reference(tmp_path, monkeypatch):
     path.write_text(
         "label,weight\n" + "".join(f"x{i},{v!r}\n" for i, v in enumerate(w.tolist()))
     )
+    assert_plain_after_header(path, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        lambda i, v: f"city {i} , {v!r}\n",  # labels and weights to strip
+        lambda i, v: f"\u00e9{i},{v!r}\n",  # labels past ASCII, nothing to strip
+        lambda i, v: f"\u00e9 {i}\u2003,\t{v!r}\n",  # both, and a Unicode space
+    ],
+    ids=["spaced", "non_ascii", "non_ascii_spaced"],
+)
+def test_bench_sized_labels_stay_plain(row, tmp_path, monkeypatch):
+    """Labels that hold whitespace or characters past ASCII keep a block
+    plain; only such blocks have their labels stripped."""
+    w = np.random.default_rng(2).random(100_000)
+    path = tmp_path / "measure.csv"
+    path.write_text(
+        "label,weight\n" + "".join(row(i, v) for i, v in enumerate(w.tolist())),
+        encoding="utf-8",
+    )
+    assert_plain_after_header(path, monkeypatch)
+
+
+def assert_plain_after_header(path, monkeypatch):
+    """``path`` reads as the reference reads it, with every block after the
+    header's split as plain."""
     row_blocks = []
     row_rules = cli._row_rules
 
