@@ -47,7 +47,7 @@ from .errors import (
 from .info import DEFAULT_BASE, _check_base, _divergence_support
 from .means import _LogSupport
 from .measures import MassMeasure, _probabilities, normalize
-from .spectrum import OrderGrid, _invert, _table, recover_distribution_probe, sample_spectrum
+from .spectrum import OrderGrid, _columns, _invert, recover_distribution_probe
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -356,16 +356,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _plot_file_text(points: list[tuple[float, float]]) -> str:
+def _plot_file_text(orders: list[float], values: list[float]) -> str:
     """Two whitespace-separated columns, loadable with numpy.loadtxt.
 
     Infinite orders are clamped to the extreme finite order of the grid and
     annotated with a trailing comment; they are dropped when the grid has no
     finite order at all.
     """
-    finite = [order for order, _ in points if math.isfinite(order)]
+    finite = [order for order in orders if math.isfinite(order)]
     lines = []
-    for order, value in points:
+    for order, value in zip(orders, values):
         if math.isfinite(order):
             lines.append(f"{_fmt(order)} {_fmt(value)}")
         elif finite:
@@ -385,7 +385,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     measure = read_measure(args.input)
     if args.normalize:
         measure = normalize(measure)
-    table = sample_spectrum(measure, grid, base)
+    columns = _columns(_LogSupport(measure.weights, measure.weights), grid, base)
     meta = {
         "n": len(measure),
         "total_mass": measure.total,
@@ -393,16 +393,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "normalized": bool(args.normalize),
     }
     header = ["order", "entropy", "equiv_prob", "potential", "derivative"]
-    rows = [
-        (row.order, row.entropy.value, row.equiv_prob, row.potential, row.derivative)
-        for row in table.rows
-    ]
-    _write_table(args.format, "spectrum", meta, header, rows)
+    _write_table(args.format, "spectrum", meta, header, zip(*columns))
     if args.plot_data:
-        entropy_points = [(row.order, row.entropy.value) for row in table.rows]
-        prob_points = [(row.order, row.equiv_prob) for row in table.rows]
-        _atomic_write(f"{args.plot_data}_entropy.dat", _plot_file_text(entropy_points))
-        _atomic_write(f"{args.plot_data}_eqprob.dat", _plot_file_text(prob_points))
+        orders, entropy, prob = columns[:3]
+        _atomic_write(f"{args.plot_data}_entropy.dat", _plot_file_text(orders, entropy))
+        _atomic_write(f"{args.plot_data}_eqprob.dat", _plot_file_text(orders, prob))
     return EXIT_OK
 
 
@@ -412,20 +407,20 @@ def cmd_divergence(args: argparse.Namespace) -> int:
     p = read_measure(args.p_input)
     q = read_measure(args.q_input)
     # labels are aligned once; D_r is minus the entropy column of the
-    # spectrum table of (p, p/q), which has passed the spectrum's laws
-    table = _table(_divergence_support(p, q), grid, base, p.total, slope=False)
+    # spectrum columns of (p, p/q), which have passed the spectrum's laws
+    orders, entropy = _columns(_divergence_support(p, q), grid, base, slope=False)[:2]
     header = ["order", "divergence"]
-    rows = [(row.order, -row.entropy.value) for row in table.rows]
+    columns = [orders, [-h for h in entropy]]
     q_support = q.weights[q.weights > 0]
     uniform = bool(np.all(q_support == q_support[0]))
     if uniform:
         ln_b = math.log(base)
         check_const = math.log(q_support.size) / ln_b - math.log(q.total) / ln_b
         header.append("uniform_check")
-        own = _table(_LogSupport(p.weights, p.weights), grid, base, p.total, slope=False)
-        rows = [(r, div, check_const - h) for (r, div), h in zip(rows, own.entropies())]
+        own = _columns(_LogSupport(p.weights, p.weights), grid, base, slope=False)[1]
+        columns.append([check_const - h for h in own])
     meta = {"base": base, "uniform_reference": uniform}
-    _write_table(args.format, "divergence", meta, header, rows)
+    _write_table(args.format, "divergence", meta, header, zip(*columns))
     return EXIT_OK
 
 

@@ -114,8 +114,8 @@ def aligned_weights(p: MassMeasure, q: MassMeasure) -> tuple[tuple[str, ...], np
     The label *sets* must be equal; input order is irrelevant.
     """
     if set(p.labels) != set(q.labels):
-        only_p = sorted(set(p.labels) - set(q.labels))
-        only_q = sorted(set(q.labels) - set(p.labels))
+        only_p = _named(sorted(set(p.labels) - set(q.labels)))
+        only_q = _named(sorted(set(q.labels) - set(p.labels)))
         raise LabelMismatchError(
             f"label sets differ (only in first: {only_p}, only in second: {only_q})"
         )
@@ -137,6 +137,14 @@ def ratio(p: MassMeasure, q: MassMeasure) -> np.ndarray:
     return _aligned_ratio(*aligned_weights(p, q))
 
 
+def _named(labels: Sequence[str]) -> str:
+    """``labels`` for an error message: their list, or past five of them
+    the first five and how many there are, so that the message stays one
+    short line however many labels it concerns."""
+    named = str(list(labels[:5]))
+    return named if len(labels) <= 5 else f"{named[:-1]}, ...] ({len(labels)} labels)"
+
+
 def _aligned_ratio(
     order: tuple[str, ...], pw: np.ndarray, qw: np.ndarray
 ) -> np.ndarray:
@@ -145,7 +153,7 @@ def _aligned_ratio(
     bad = tuple(l for l, pi, qi in zip(order, pw, qw) if pi > 0 and qi == 0)
     if bad:
         raise SupportViolationError(
-            f"second measure is zero on labels {list(bad)} where the first is positive",
+            f"second measure is zero on labels {_named(bad)} where the first is positive",
             labels=bad,
         )
     # an overflowing ratio is +inf, which the kernel handles; no warning

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -132,6 +131,8 @@ class SpectrumTable:
         non-decreasing along the grid (slack 1e-12 for roundoff), each row
         must satisfy ``equiv_prob = base**(-entropy)`` to 1e-10 relative,
         and the derivative column must be <= 0 (not positive, not NaN).
+        This is the law check every built table has passed, applied to the
+        columns of this one.
 
         A failure raises :class:`SpectrumConsistencyError` carrying the
         offending row's order, the order of the row before it for the two
@@ -139,48 +140,8 @@ class SpectrumTable:
         relative probability decrease, the relative ``equiv_prob`` error,
         or the slope that is positive or NaN.
         """
-        slack = 1e-12
-        for a, b in zip(self.rows, self.rows[1:]):
-            rise = b.entropy.value - a.entropy.value
-            if rise > slack:
-                raise SpectrumConsistencyError(
-                    f"entropy increases by {rise!r} from order {a.order} to {b.order}",
-                    order=b.order,
-                    neighbour=a.order,
-                    residual=rise,
-                )
-            if b.equiv_prob < a.equiv_prob * (1.0 - 1e-12):
-                drop = 1.0 - b.equiv_prob / a.equiv_prob
-                raise SpectrumConsistencyError(
-                    f"equivalent probability decreases by {drop!r} (relative) "
-                    f"from order {a.order} to {b.order}",
-                    order=b.order,
-                    neighbour=a.order,
-                    residual=drop,
-                )
-        ln_b, tiny, huge = math.log(self.base), math.ulp(0.0), float(np.finfo(float).max)
-        for row in self.rows:
-            # in logs, as base**(-entropy) can overflow; past the doubles both
-            # read as the least or the largest (a divergence's M_r can pass
-            # the largest), and pi is good to 1e-10 or two of its spacings
-            p = min(max(row.equiv_prob, tiny), huge)  # NaN stays NaN
-            got = math.log(p)
-            expected = min(max(-row.entropy.value * ln_b, math.log(tiny)), math.log(huge))
-            if got != expected and not abs(got - expected) <= max(1e-10, 2.0 * math.ulp(p) / p):
-                with np.errstate(over="ignore"):
-                    miss = float(np.expm1(got - expected))
-                raise SpectrumConsistencyError(
-                    f"row at order {row.order}: equiv_prob {row.equiv_prob} is "
-                    f"{miss!r} (relative) off base**(-entropy)",
-                    order=row.order,
-                    residual=miss,
-                )
-            if row.derivative is not None and not row.derivative <= 0.0:
-                raise SpectrumConsistencyError(
-                    f"spectrum slope {row.derivative!r} is not <= 0 at order {row.order}",
-                    order=row.order,
-                    residual=row.derivative,
-                )
+        prob, slope = [row.equiv_prob for row in self.rows], [row.derivative for row in self.rows]
+        _check_laws(self.orders(), self.entropies(), prob, slope, self.base)
 
     def orders(self) -> tuple[float, ...]:
         return tuple(row.order for row in self.rows)
@@ -195,56 +156,109 @@ def sample_spectrum(
     """Evaluate entropy, equivalent probability, potential, and slope of
     ``m`` on every order of ``grid``, and validate the result.
 
-    This is :func:`_table` on the log-support of ``m`` against itself: the
-    measure is trusted as built, its logs are taken once, and one kernel
-    call evaluates every finite order.  Each row equals what
-    ``shifted_entropy``, ``equivalent_probability``,
+    The rows are the columns of :func:`_columns` on the log-support of
+    ``m`` against itself: the measure is trusted as built, its logs are
+    taken once, and one kernel call evaluates every finite order.  Each row
+    equals what ``shifted_entropy``, ``equivalent_probability``,
     ``information_potential`` and ``entropy_derivative`` return at its
     order; potential and slope are None on the +-inf rows, where they are
     not defined.  The returned table has already passed
     :meth:`SpectrumTable.validate`.
     """
-    return _table(_LogSupport(m.weights, m.weights), grid, base, m.total)
+    base = _check_base(base)
+    columns = zip(*_columns(_LogSupport(m.weights, m.weights), grid, base))
+    rows = tuple(SpectrumRow(r, EntropyValue(h, base, r), *rest) for r, h, *rest in columns)
+    return SpectrumTable(rows, base, m.total)
 
 
-def _table(
-    support: _LogSupport, grid: OrderGrid, base: float, total: float, *, slope: bool = True
-) -> SpectrumTable:
-    """The validated spectrum table of any log-support: at every order of
-    ``grid``, entropy ``-ln M_r / ln b``, equivalent probability ``M_r``,
-    potential ``M_r**r`` and slope ``-(d ln M_r / dr) / ln b``.
+def _columns(support: _LogSupport, grid: OrderGrid, base: float, *, slope: bool = True) -> tuple:
+    """The validated spectrum columns of any log-support, as five lists:
+    the orders of ``grid``, entropy ``-ln M_r / ln b``, equivalent
+    probability ``M_r``, potential ``M_r**r`` and slope
+    ``-(d ln M_r / dr) / ln b``.
 
     A spectrum is the support of ``(w, w)``; the divergence ``D_r(p || q)``
     is minus the entropy column of the support of ``(p, p/q)``, which obeys
-    the same laws.  One kernel call evaluates the finite orders, and the
-    +-inf rows are the exact extremes, with no potential or slope.  The
-    slope is taken only when ``slope`` is set, for a caller that keeps it,
-    as :func:`sample_spectrum` does.  It needs every value positive and
-    finite, as every spectrum's is; on a support holding 0 or inf, or
-    without ``slope``, it is None at every order.
+    the same laws.  One kernel call evaluates the finite orders, whose
+    columns are taken as arrays, and the +-inf rows are the exact extremes,
+    with no potential or slope.  The slope is taken only when ``slope`` is
+    set, for a caller that keeps it, as :func:`sample_spectrum` does.  It
+    needs every value positive and finite, as every spectrum's is; on a
+    support holding 0 or inf, or without ``slope``, it is None at every
+    order.  The columns have passed :func:`_check_laws`.
     """
-    base = _check_base(base)
-    ln_b = math.log(base)
+    ln_b = math.log(_check_base(base))
+    orders = np.array(grid.finite_orders, dtype=float)
     kernel = _log_mean_slope if slope and support.finite else _log_moments
-    log_means, slopes = kernel(support, grid.finite_orders)
+    log_means, slopes = kernel(support, orders)
+    # a divergence's M_r can pass the largest double, and 0 * inf is NaN at r = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        prob, potential = np.exp(log_means), np.exp(orders * log_means)
     # 0.0 - x, not -x: a zero slope gives +0.0
-    derivatives = repeat(None) if slopes is None else (0.0 - slopes / ln_b).tolist()
-    finite = zip(log_means.tolist(), derivatives)
-    rows = []
-    for r in grid.orders():
-        if math.isinf(r):
-            entropy = EntropyValue(-support.log_mean(r) / ln_b, base, r)
-            rows.append(SpectrumRow(r, entropy, support.mean(r), None, None))
-            continue
-        log_mean, derivative = next(finite)
-        with np.errstate(over="ignore"):
-            prob = float(np.exp(log_mean))
-            potential = float(np.exp(r * log_mean))
-        entropy = EntropyValue(-log_mean / ln_b, base, r)
-        rows.append(SpectrumRow(r, entropy, prob, potential, derivative))
-    table = SpectrumTable(tuple(rows), base, total)
-    table.validate()
-    return table
+    derivative = [None] * orders.size if slopes is None else (0.0 - slopes / ln_b).tolist()
+    entropy = (-log_means / ln_b).tolist()
+    lo, hi = grid.include_neg_inf, grid.include_pos_inf  # a flanking row is there or not
+    columns = (
+        list(grid.orders()),
+        [-support.log_lo / ln_b] * lo + entropy + [-support.log_hi / ln_b] * hi,
+        [support.mean(-math.inf)] * lo + prob.tolist() + [support.mean(math.inf)] * hi,
+        [None] * lo + potential.tolist() + [None] * hi,
+        [None] * lo + derivative + [None] * hi,
+    )
+    _check_laws(columns[0], columns[1], columns[2], columns[4], base)
+    return columns
+
+
+@np.errstate(all="ignore")  # inf - inf and x / 0 are settled by the comparisons
+def _check_laws(orders, entropy, prob, derivative, base: float) -> None:
+    """The laws of :meth:`SpectrumTable.validate` on a table's columns:
+    raise for the first neighbour pair that breaks one (entropy rise before
+    probability drop), else for the first row (``base**(-entropy)`` before
+    the slope's sign).
+
+    ``base**(-entropy)`` is compared with ``equiv_prob`` in logs, as it can
+    overflow; past the doubles both read as the least or the largest (a
+    divergence's ``M_r`` can pass the largest), and ``pi`` is good to 1e-10
+    or two of its spacings.  The logs and spacings are ``math.log`` and
+    ``math.ulp``: ``np.spacing`` overflows at the largest double.
+    """
+    slack = 1e-12
+    h, p = np.array(entropy, dtype=float), np.array(prob, dtype=float)
+    rise = h[1:] - h[:-1]
+    bad = np.flatnonzero((rise > slack) | (p[1:] < p[:-1] * (1.0 - 1e-12)))
+    if bad.size:
+        i = bad[0]
+        a, b = orders[i], orders[i + 1]
+        if rise[i] > slack:
+            residual = float(rise[i])
+            message = f"entropy increases by {residual!r} from order {a} to {b}"
+        else:
+            residual = float(1.0 - p[i + 1] / p[i])
+            message = (
+                f"equivalent probability decreases by {residual!r} (relative) "
+                f"from order {a} to {b}"
+            )
+        raise SpectrumConsistencyError(message, order=b, neighbour=a, residual=residual)
+    tiny, huge = math.ulp(0.0), float(np.finfo(float).max)
+    p = np.clip(p, tiny, huge)  # NaN stays NaN
+    got = np.fromiter(map(math.log, p.tolist()), float, p.size)
+    expected = np.clip(-h * math.log(base), math.log(tiny), math.log(huge))
+    ulp = np.fromiter(map(math.ulp, p.tolist()), float, p.size)
+    off = (got != expected) & ~(np.abs(got - expected) <= np.maximum(1e-10, 2.0 * ulp / p))
+    steep = np.fromiter((d is not None and not d <= 0.0 for d in derivative), bool, p.size)
+    bad = np.flatnonzero(off | steep)
+    if bad.size:
+        i = bad[0]
+        if off[i]:
+            residual = float(np.expm1(got[i] - expected[i]))
+            message = (
+                f"row at order {orders[i]}: equiv_prob {prob[i]} is "
+                f"{residual!r} (relative) off base**(-entropy)"
+            )
+        else:
+            residual = derivative[i]
+            message = f"spectrum slope {residual!r} is not <= 0 at order {orders[i]}"
+        raise SpectrumConsistencyError(message, order=orders[i], residual=residual)
 
 
 def invert_probability(m: MassMeasure, target_p: float, tol: float = 1e-10) -> float:

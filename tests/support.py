@@ -9,8 +9,9 @@ self-information, mass displacement) live here too: they use only the
 public ``srenyi`` API and numpy, so they share no private code with what
 they check.  The textbook out-of-place kernel formulas, the input
 reader as it was before it streamed and the dict-based label grouping of
-the recovery are kept here as oracles too (the reader borrows the
-library's JSON record parse, which it does not check).
+the recovery and the row-wise law check of ``SpectrumTable.validate`` are
+kept here as oracles too (the reader borrows the library's JSON record
+parse, which it does not check).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from srenyi import (
     Distribution,
     EntropyValue,
     MassMeasure,
+    SpectrumConsistencyError,
+    SpectrumTable,
     SupportViolationError,
     normalize,
     shifted_divergence,
@@ -256,6 +259,54 @@ def reference_escort_log_mean(weights, values, r, digits=30):
         rd = Decimal(float(r))
         rho = [wh * (rd * di).exp() for wh, di in zip(w_hat, d)]
         return float(mu + sum(ri * di for ri, di in zip(rho, d)) / sum(rho))
+
+
+def reference_validate(table: SpectrumTable) -> None:
+    """``SpectrumTable.validate`` as a loop over the rows, as it was before
+    the laws were checked on columns: every neighbour pair first (entropy
+    rise, then probability drop), then every row (``base**(-entropy)``, then
+    the slope's sign).  The relative drop is taken in numpy, so that a drop
+    from 0 is +-inf rather than a ``ZeroDivisionError``."""
+    slack = 1e-12
+    for a, b in zip(table.rows, table.rows[1:]):
+        rise = b.entropy.value - a.entropy.value
+        if rise > slack:
+            raise SpectrumConsistencyError(
+                f"entropy increases by {rise!r} from order {a.order} to {b.order}",
+                order=b.order,
+                neighbour=a.order,
+                residual=rise,
+            )
+        if b.equiv_prob < a.equiv_prob * (1.0 - 1e-12):
+            with np.errstate(all="ignore"):
+                drop = float(1.0 - np.float64(b.equiv_prob) / a.equiv_prob)
+            raise SpectrumConsistencyError(
+                f"equivalent probability decreases by {drop!r} (relative) "
+                f"from order {a.order} to {b.order}",
+                order=b.order,
+                neighbour=a.order,
+                residual=drop,
+            )
+    ln_b, tiny, huge = math.log(table.base), math.ulp(0.0), float(np.finfo(float).max)
+    for row in table.rows:
+        p = min(max(row.equiv_prob, tiny), huge)  # NaN stays NaN
+        got = math.log(p)
+        expected = min(max(-row.entropy.value * ln_b, math.log(tiny)), math.log(huge))
+        if got != expected and not abs(got - expected) <= max(1e-10, 2.0 * math.ulp(p) / p):
+            with np.errstate(over="ignore"):
+                miss = float(np.expm1(got - expected))
+            raise SpectrumConsistencyError(
+                f"row at order {row.order}: equiv_prob {row.equiv_prob} is "
+                f"{miss!r} (relative) off base**(-entropy)",
+                order=row.order,
+                residual=miss,
+            )
+        if row.derivative is not None and not row.derivative <= 0.0:
+            raise SpectrumConsistencyError(
+                f"spectrum slope {row.derivative!r} is not <= 0 at order {row.order}",
+                order=row.order,
+                residual=row.derivative,
+            )
 
 
 def reference_label_groups(m: MassMeasure) -> tuple[list[str], list[float]]:

@@ -463,6 +463,34 @@ class TestDivergenceCommand:
         assert out.startswith(f"# base=2.0\n# uniform_reference={str(reference == 'uniform').lower()}\n")
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "q_rows, message",
+        [
+            (
+                "".join(f"y{i},1\n" for i in range(10_000)),
+                "label sets differ (only in first: ['x0', 'x1', 'x10', 'x100', 'x1000', ...] "
+                "(10001 labels), only in second: ['y0', 'y1', 'y10', 'y100', 'y1000', ...] "
+                "(10000 labels))",
+            ),
+            (
+                "".join(f"x{i},0\n" for i in range(10_000)) + "z,1\n",
+                "second measure is zero on labels ['x0', 'x1', 'x10', 'x100', 'x1000', ...] "
+                "(10000 labels) where the first is positive",
+            ),
+        ],
+        ids=["disjoint_labels", "zero_q"],
+    )
+    def test_many_bad_labels_make_one_short_error_line(self, capsys, tmp_path, q_rows, message):
+        """A divergence that fails on 10**4 labels names the first five of
+        them and their count: stderr is one line under 1 KB."""
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        p.write_text("".join(f"x{i},1\n" for i in range(10_000)) + "z,1\n")
+        q.write_text(q_rows)
+        code, out, err = run(capsys, ["divergence", str(p), str(q)])
+        assert (code, out) == (4, "")
+        assert err == f"srenyi: error: {message}\n"
+        assert len(err.encode()) < 1024
+
     def test_ratio_past_the_doubles(self, capsys, tmp_path):
         """p/q overflows to inf on "a", so at r < 0 the mean passes the
         largest double while ln M_r does not: the column passes and prints."""
@@ -685,6 +713,57 @@ def test_slope_through_zero(capsys, ucb_csv):
     for r, row in zip(orders, data):
         expected = -(k2 / 2 + r * k3 / 3) / math.log(2.0)
         assert_allclose(float(row[header.index("derivative")]), expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "divergence-uniform", "divergence-skewed"])
+def test_prints_columns_without_building_rows(
+    capsys, monkeypatch, tmp_path, ucb_csv, uniform_csv, command
+):
+    """The commands print the builder's columns: no ``SpectrumRow`` or
+    ``EntropyValue`` is made, while ``sample_spectrum`` makes one of each
+    per order."""
+    built = []
+    for cls in (srenyi.SpectrumRow, srenyi.EntropyValue):
+
+        def counting(self, *args, init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    skewed = tmp_path / "q.csv"
+    skewed.write_text("".join(f"{l},{w}\n" for l, w in zip(UCB_LABELS, range(1, 7))))
+    argv = {
+        "spectrum": ["spectrum", ucb_csv, "--plot-data", str(tmp_path / "ucb")],
+        "divergence-uniform": ["divergence", ucb_csv, uniform_csv],
+        "divergence-skewed": ["divergence", ucb_csv, str(skewed)],
+    }[command]
+    assert run(capsys, argv)[0] == 0
+    assert built == []
+    srenyi.sample_spectrum(read_measure(ucb_csv), srenyi.OrderGrid.named())
+    assert sorted(built) == ["EntropyValue"] * 5 + ["SpectrumRow"] * 5
+
+
+@pytest.mark.parametrize("base", ["e", "2"])
+@pytest.mark.parametrize("measure", ["ucb", "random"])
+def test_spectrum_cells_are_the_table_fields(capsys, tmp_path, ucb_csv, measure, base):
+    """Each CSV cell of ``srenyi spectrum`` is the repr of the matching field
+    of ``sample_spectrum``'s row (empty for None)."""
+    path = ucb_csv
+    if measure == "random":
+        w = 10.0 ** np.random.default_rng(11).uniform(-6.0, 3.0, 40)
+        path = tmp_path / "random.csv"
+        path.write_text("".join(f"x{i},{v!r}\n" for i, v in enumerate(w.tolist())))
+    code, out, _ = run(capsys, ["spectrum", str(path), "--base", base])
+    assert code == 0
+    header, data = parse_csv_table(out)
+    table = srenyi.sample_spectrum(
+        read_measure(str(path)), srenyi.OrderGrid.default(), srenyi.cli.resolve_base(base)
+    )
+    assert header == ["order", "entropy", "equiv_prob", "potential", "derivative"]
+    assert len(data) == len(table.rows) == 105
+    for cells, row in zip(data, table.rows):
+        fields = (row.order, row.entropy.value, row.equiv_prob, row.potential, row.derivative)
+        assert cells == ["" if f is None else repr(f) for f in fields]
 
 
 def child_env():

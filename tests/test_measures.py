@@ -169,3 +169,31 @@ class TestAlignmentAndRatio:
         q = MassMeasure(("a", "z"), np.array([1.0, 1.0]))
         with pytest.raises(LabelMismatchError):
             ratio(p, q)
+
+    def test_many_labels_are_named_by_the_first_five_and_the_count(self):
+        labels = tuple("abcdefg")
+        p = MassMeasure(labels, np.ones(7))
+        q = MassMeasure(labels, np.array([1.0, 0, 0, 0, 0, 0, 0]))
+        with pytest.raises(SupportViolationError) as err:
+            ratio(p, q)
+        assert err.value.labels == labels[1:]
+        assert str(err.value) == (
+            "second measure is zero on labels ['b', 'c', 'd', 'e', 'f', ...] (6 labels) "
+            "where the first is positive"
+        )
+        other = MassMeasure(tuple("ABCDEFG"), np.ones(7))
+        with pytest.raises(LabelMismatchError) as err:
+            ratio(p, other)
+        assert str(err.value) == (
+            "label sets differ (only in first: ['a', 'b', 'c', 'd', 'e', ...] (7 labels), "
+            "only in second: ['A', 'B', 'C', 'D', 'E', ...] (7 labels))"
+        )
+
+    def test_five_labels_are_all_named(self):
+        p = MassMeasure(tuple("abcdef"), np.ones(6))
+        q = MassMeasure(tuple("abcdef"), np.array([1.0, 0, 0, 0, 0, 0]))
+        with pytest.raises(SupportViolationError) as err:
+            ratio(p, q)
+        assert str(err.value) == (
+            "second measure is zero on labels ['b', 'c', 'd', 'e', 'f'] where the first is positive"
+        )

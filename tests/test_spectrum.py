@@ -40,6 +40,7 @@ from support import (
     random_distribution,
     random_mass,
     reference_label_groups,
+    reference_validate,
 )
 
 INF = math.inf
@@ -143,8 +144,9 @@ class TestSampleSpectrum:
 
 
 class TestRowsMatchScalarRoute:
-    """Every spectrum row equals the scalar functions at its order: one
-    kernel pass per row may not drift from the per-order route."""
+    """Every spectrum row equals the scalar functions at its order bit for
+    bit: the columns' one kernel call and vectorized ``np.exp`` may not
+    drift from the per-order route."""
 
     GRIDS = (
         OrderGrid.default(),
@@ -161,14 +163,14 @@ class TestRowsMatchScalarRoute:
                 r = row.order
                 assert row.entropy.order == r and row.entropy.base == base
                 assert_allclose(
-                    row.entropy.value, shifted_entropy(m, r, base).value, rtol=1e-12, atol=0
+                    row.entropy.value, shifted_entropy(m, r, base).value, rtol=0, atol=0
                 )
-                assert_allclose(row.equiv_prob, equivalent_probability(m, r), rtol=1e-12, atol=0)
+                assert_allclose(row.equiv_prob, equivalent_probability(m, r), rtol=0, atol=0)
                 if math.isinf(r):
                     assert row.potential is None and row.derivative is None
                     continue
-                assert_allclose(row.potential, information_potential(m, r), rtol=1e-12, atol=0)
-                assert_allclose(row.derivative, entropy_derivative(m, r, base), rtol=1e-9, atol=0)
+                assert_allclose(row.potential, information_potential(m, r), rtol=0, atol=0)
+                assert_allclose(row.derivative, entropy_derivative(m, r, base), rtol=0, atol=0)
 
     def test_random_unnormalized(self, rng):
         for _ in range(10):
@@ -222,6 +224,68 @@ class TestValidateFailures:
         err = self._fails(self._row(0.5, 1.0, 0.5, slope=math.nan))
         assert (err.order, err.neighbour) == (0.5, None)
         assert math.isnan(err.residual)
+
+    def test_probability_drop_from_zero(self):
+        """A drop from 0 to -inf is an infinite relative drop, not a
+        division by zero."""
+        err = self._fails(self._row(0.0, 1.0, 0.0), self._row(1.0, 1.0, -INF))
+        assert (err.order, err.neighbour, err.residual) == (1.0, 0.0, INF)
+        assert str(err) == "equivalent probability decreases by inf (relative) from order 0.0 to 1.0"
+
+
+EDGES = (
+    math.nan, INF, 0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.5, 1.0,
+    1.7976931348623157e308,
+)
+edge_floats = st.one_of(st.sampled_from(EDGES + tuple(-x for x in EDGES)), st.floats())
+
+
+@st.composite
+def hand_built_tables(draw):
+    """Tables of up to 6 rows, most of them close to the laws: entropies in
+    decreasing order or not, each ``equiv_prob`` ``base**(-entropy)`` as it
+    rounds, nudged by a few 1e-10, or any float, and slopes None, NaN or any
+    float; values among NaN, +-inf, +-0, subnormals and the largest double."""
+    base = draw(st.sampled_from([2.0, math.e, 10.0]))
+    n = draw(st.integers(0, 6))
+    orders = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n, unique=True)))
+    entropies = draw(st.lists(edge_floats, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        entropies.sort(key=lambda h: -h if h == h else -INF)
+    rows = []
+    for r, h in zip(orders, entropies):
+        with np.errstate(all="ignore"):
+            prob = float(np.exp(-h * math.log(base)))
+        kind = draw(st.sampled_from(["law", "nudged", "any"]))
+        if kind == "nudged":
+            prob *= 1.0 + draw(st.sampled_from([-3e-10, -1e-10, 1e-11, 1e-10, 3e-10]))
+        elif kind == "any":
+            prob = draw(edge_floats)
+        slope = draw(st.one_of(st.none(), st.just(math.nan), edge_floats))
+        rows.append(SpectrumRow(r, EntropyValue(h, base, r), prob, None, slope))
+    return SpectrumTable(tuple(rows), base, 1.0)
+
+
+def validation_outcome(check, table):
+    """What ``check(table)`` raises, NaN-aware: None, or the exception's
+    type, message, order, neighbour and residual, NaNs as "nan"."""
+    try:
+        check(table)
+    except Exception as exc:
+        fields = [getattr(exc, name, None) for name in ("order", "neighbour", "residual")]
+        fields = ["nan" if isinstance(f, float) and math.isnan(f) else f for f in fields]
+        return (type(exc), str(exc), *fields)
+    return None
+
+
+@given(hand_built_tables())
+@settings(max_examples=500, deadline=None)
+def test_validate_raises_what_the_row_loop_raises(table):
+    """``SpectrumTable.validate`` checks the laws on columns and raises
+    exactly what the row-wise loop of ``support.reference_validate`` does."""
+    assert validation_outcome(SpectrumTable.validate, table) == validation_outcome(
+        reference_validate, table
+    )
 
 
 class TestValidateAtTheEdgesOfTheDoubles:
@@ -328,7 +392,7 @@ class TestDivergenceTables:
     spectrum table of ``(p, p/q)``, and such tables pass
     ``SpectrumTable.validate`` with its slack as it is, on every kind of
     ratio: each sweep builds default-grid columns through
-    ``spectrum._table``, and every column must pass."""
+    ``spectrum._columns``, and every column must pass."""
 
     GRID = OrderGrid.default()
 
@@ -377,8 +441,8 @@ class TestDivergenceTables:
         for k in range(count):
             p, q = self._pair(rng, kinds[k % len(kinds)])
             support = srenyi.info._divergence_support(p, q)
-            table = srenyi.spectrum._table(support, self.GRID, 2.0, p.total)
-            slopes = [row.derivative for row in table.rows if math.isfinite(row.order)]
+            orders, *_, derivative = srenyi.spectrum._columns(support, self.GRID, 2.0)
+            slopes = [d for r, d in zip(orders, derivative) if math.isfinite(r)]
             assert all(d is not None for d in slopes) == support.finite
 
 
