@@ -149,7 +149,9 @@ def _measure_from_csv(path: str, head: str, fh: TextIO) -> MassMeasure:
         block = fh.read(_BLOCK_CHARS)
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    return MassMeasure(labels, np.concatenate(weights))
+    # the blocks go before the measure takes its own copy
+    weights = np.concatenate(weights)
+    return MassMeasure(labels, weights)
 
 
 # What the byte pass of _plain_block keeps: every byte that can shape a row
@@ -379,16 +381,24 @@ def _plot_file_text(orders: list[float], values: list[float]) -> str:
 # ---------------------------------------------------------------- commands
 
 
+def _spectrum_input(path: str, normalized: bool) -> tuple[int, float, np.ndarray]:
+    """The size, total and weights of the measure in ``path``, normalized
+    or not.  A spectrum prints no label, so the measure and its labels are
+    freed on return, before the kernel allocates."""
+    measure = read_measure(path)
+    if normalized:
+        measure = normalize(measure)
+    return len(measure), measure.total, measure.weights
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     grid = parse_orders(args.orders)
     base = resolve_base(args.base)
-    measure = read_measure(args.input)
-    if args.normalize:
-        measure = normalize(measure)
-    columns = _columns(_LogSupport(measure.weights, measure.weights), grid, base)
+    n, total, weights = _spectrum_input(args.input, args.normalize)
+    columns = _columns(_LogSupport(weights, weights), grid, base)
     meta = {
-        "n": len(measure),
-        "total_mass": measure.total,
+        "n": n,
+        "total_mass": total,
         "base": base,
         "normalized": bool(args.normalize),
     }

@@ -151,15 +151,18 @@ class _LogSupport:
 
     def __init__(self, weights: np.ndarray, values: np.ndarray):
         mask = weights > 0
-        w, x = weights[mask], values[mask]
+        # a support without zero weights is taken as it is, not copied
+        w, x = (weights, values) if mask.all() else (weights[mask], values[mask])
         total = w.sum()
         self.values = x
         self.norm_w = w / total
-        # the exact scale shift of the class docstring
+        # the exact scale shift of the class docstring, in one buffer
         e = round(math.log2(total))
         with np.errstate(divide="ignore"):
             self.log_x = np.log(x)
-            self.log_w = np.log(np.ldexp(w, -e)) - math.log(math.ldexp(total, -e))
+            self.log_w = np.ldexp(w, -e)
+            np.log(self.log_w, out=self.log_w)
+            self.log_w -= math.log(math.ldexp(total, -e))
         lost = w < math.ldexp(1.0, e - 1022)
         self.log_w[lost] = np.log(w[lost]) - math.log(total)
         self.log_lo, self.log_hi = float(self.log_x.min()), float(self.log_x.max())

@@ -42,7 +42,11 @@ class MassMeasure:
         w = np.array(self.weights, dtype=float)
         if len(labels) != w.size:
             raise ValueError(f"{len(labels)} labels for {w.size} weights")
-        if len(set(labels)) != len(labels):
+        # equal labels hash equally, so sorted hashes that never meet are
+        # proof of uniqueness; where two meet, the exact check decides
+        hashes = np.fromiter(map(hash, labels), np.int64, len(labels))
+        hashes.sort()
+        if (hashes[1:] == hashes[:-1]).any() and len(set(labels)) != len(labels):
             dupes = sorted(l for l, count in Counter(labels).items() if count > 1)
             raise ValueError(f"duplicate labels: {dupes}")
         _check_weights(w)
@@ -150,8 +154,9 @@ def _aligned_ratio(
 ) -> np.ndarray:
     """:func:`ratio` of weights already aligned by :func:`aligned_weights`."""
     mask = pw > 0
-    bad = tuple(l for l, pi, qi in zip(order, pw, qw) if pi > 0 and qi == 0)
-    if bad:
+    violated = mask & (qw == 0)
+    if violated.any():
+        bad = tuple(order[i] for i in np.flatnonzero(violated))
         raise SupportViolationError(
             f"second measure is zero on labels {_named(bad)} where the first is positive",
             labels=bad,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import srenyi
 from srenyi import (
     Distribution,
     LabelMismatchError,
@@ -60,6 +61,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^duplicate labels: \['x0'\]$"):
             MassMeasure(tuple(labels), np.ones(len(labels)))
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("n", [2, 10_000])
+    def test_colliding_hashes_fall_back_to_the_exact_check(self, monkeypatch, n):
+        """Uniqueness is read from the sorted label hashes, and where two
+        hashes meet the exact check decides; with every hash equal, distinct
+        labels still build and repeated ones are still named."""
+        hashed = []
+        monkeypatch.setattr(
+            srenyi.measures, "hash", lambda label: hashed.append(label) or 0, raising=False
+        )
+        labels = tuple(f"x{i}" for i in range(n))
+        assert MassMeasure(labels, np.ones(n)).labels == labels
+        assert hashed == list(labels)
+        with pytest.raises(ValueError, match=r"^duplicate labels: \['a'\]$"):
+            MassMeasure(("a", "b", "a"), np.ones(3))
 
     def test_measure_rejections(self):
         with pytest.raises(ValueError, match="weights must not be NaN"):
