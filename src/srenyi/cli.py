@@ -45,8 +45,14 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .info import DEFAULT_BASE, _check_base, _divergence_support
-from .means import _LogSupport
-from .measures import MassMeasure, _probabilities, normalize
+from .means import _check_weights, _LogSupport
+from .measures import (
+    MassMeasure,
+    _check_normalized,
+    _label_hashes,
+    _probabilities,
+    _unique_hashes,
+)
 from .spectrum import OrderGrid, _columns, _invert, recover_distribution_probe
 
 EXIT_OK = 0
@@ -68,7 +74,26 @@ class OptionError(ValueError):
 
 
 def read_measure(path: str) -> MassMeasure:
-    """The measure in a CSV or JSON file, read in one pass.
+    """The measure in a CSV or JSON file: the blocks of
+    :func:`_read_blocks`, joined."""
+    labels: list[str] = []
+    weights = []
+    for block_labels, block_weights in _read_blocks(path):
+        labels += block_labels
+        weights.append(block_weights)
+    # the blocks go before the measure takes its own copy
+    weights = np.concatenate(weights)
+    return MassMeasure(labels, weights)
+
+
+# The labels and weights of the data rows of one block
+_Block = tuple[list[str], np.ndarray]
+
+
+def _read_blocks(path: str) -> Iterator[_Block]:
+    """The data rows of a CSV or JSON file, read in one pass, a block at a
+    time: one block per block of whole lines of a CSV file, one for a JSON
+    file.  A file without a data row is an error.
 
     The format is sniffed from the extension or the first non-blank
     character; the lines up to it are kept, and the rest of the file is
@@ -86,8 +111,9 @@ def read_measure(path: str) -> MassMeasure:
             else:
                 raise ValueError(f"{path}: empty input file")
             if path.lower().endswith(".json") or line.lstrip()[0] in "[{":
-                return _measure_from_json(path, "".join(head) + fh.read())
-            return _measure_from_csv(path, "".join(head), fh)
+                yield _json_block(path, "".join(head) + fh.read())
+            else:
+                yield from _csv_blocks(path, "".join(head), fh)
     except UnicodeDecodeError:
         # the streaming decoder counts positions from the start of its
         # current chunk; decoding the whole file reports the file offset
@@ -96,7 +122,7 @@ def read_measure(path: str) -> MassMeasure:
         raise
 
 
-def _measure_from_json(path: str, text: str) -> MassMeasure:
+def _json_block(path: str, text: str) -> _Block:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -123,35 +149,30 @@ def _measure_from_json(path: str, text: str) -> MassMeasure:
             weights.append(float(weight))
         except OverflowError:  # an integer past the doubles, read as CSV reads 1e400
             weights.append(math.inf if weight > 0 else -math.inf)
-    return MassMeasure(labels, weights)
+    return labels, np.array(weights)
 
 
 _BLOCK_CHARS = 8192  # characters read per CSV block, before completing its last line
 
 
-def _measure_from_csv(path: str, head: str, fh: TextIO) -> MassMeasure:
-    """The CSV rows of ``head`` and then of the rest of ``fh``, read a block
-    of whole lines at a time.  A plain block is split by
-    :func:`_plain_block`; every other block goes through
-    :func:`_row_rules`, which states the format."""
-    labels: list[str] = []
-    weights = []
+def _csv_blocks(path: str, head: str, fh: TextIO) -> Iterator[_Block]:
+    """The CSV rows of ``head`` and then of the rest of ``fh``, a block of
+    whole lines at a time.  A plain block is split by :func:`_plain_block`;
+    every other block goes through :func:`_row_rules`, which states the
+    format."""
+    rows = 0
     block = head + fh.read(_BLOCK_CHARS)
     while block:
         if block[-1] != "\n":
             block += fh.readline()
-        plain = _plain_block(block)
-        if plain is None:
-            weights.append(_row_rules(path, _csv_rows(block, fh), labels))
-        else:
-            labels += plain[0]
-            weights.append(plain[1])
+        labels, weights = _plain_block(block) or _row_rules(
+            path, _csv_rows(block, fh), not rows
+        )
+        rows += len(labels)
+        yield labels, weights
         block = fh.read(_BLOCK_CHARS)
-    if not labels:
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    # the blocks go before the measure takes its own copy
-    weights = np.concatenate(weights)
-    return MassMeasure(labels, weights)
 
 
 # What the byte pass of _plain_block keeps: every byte that can shape a row
@@ -207,13 +228,13 @@ def _csv_rows(block: str, fh: TextIO) -> Iterator[list[str]]:
             return
 
 
-def _row_rules(path: str, rows: Iterator[list[str]], labels: list[str]) -> list[float]:
-    """Apply the row rules to ``rows``, appending each data row's label to
-    ``labels``, which holds those of the rows before, and returning their
-    weights: blank rows and ``#`` comments are skipped, a ``label,weight``
-    header only before the first data row, and every other row must be two
-    cells with a numeric weight."""
-    weights = []
+def _row_rules(path: str, rows: Iterator[list[str]], first: bool) -> _Block:
+    """The labels and weights of the data rows of ``rows``, under the row
+    rules: blank rows and ``#`` comments are skipped, a ``label,weight``
+    header only before the first data row of the file (``first`` says that
+    no block before held one), and every other row must be two cells with
+    a numeric weight."""
+    labels, weights = [], []
     try:
         for row in rows:
             label = row[0].strip() if row else ""
@@ -227,7 +248,7 @@ def _row_rules(path: str, rows: Iterator[list[str]], labels: list[str]) -> list[
                     f"{path}: expected 'label,weight' rows, got {len(row)} cells: {row}"
                 )
             text = row[1].strip()
-            if not labels and label.lower() == "label" and text.lower() == "weight":
+            if first and not labels and label.lower() == "label" and text.lower() == "weight":
                 continue
             try:
                 weights.append(float(text))
@@ -236,7 +257,7 @@ def _row_rules(path: str, rows: Iterator[list[str]], labels: list[str]) -> list[
             labels.append(label)
     except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return weights
+    return labels, np.array(weights)
 
 
 # ---------------------------------------------------------------- options
@@ -383,12 +404,29 @@ def _plot_file_text(orders: list[float], values: list[float]) -> str:
 
 def _spectrum_input(path: str, normalized: bool) -> tuple[int, float, np.ndarray]:
     """The size, total and weights of the measure in ``path``, normalized
-    or not.  A spectrum prints no label, so the measure and its labels are
-    freed on return, before the kernel allocates."""
-    measure = read_measure(path)
+    or not, checked as :func:`read_measure` and ``normalize`` check it,
+    from one read of ``path``.  A spectrum prints no label, so each
+    block keeps only its label hashes and an exact record of its labels,
+    their joined text and lengths, and its label strings go with it.
+    Where two hashes meet, the labels are rebuilt from the record and the
+    measure decides: it names a repeated label, or it was a collision."""
+    hashes, texts, lengths, weights = [], [], [], []
+    for labels, block_weights in _read_blocks(path):
+        hashes.append(_label_hashes(labels))
+        texts.append("".join(labels))
+        lengths.append(np.fromiter(map(len, labels), np.int32, len(labels)))
+        weights.append(block_weights)
+    weights = np.concatenate(weights)
+    hashes = np.concatenate(hashes)
+    if _unique_hashes(hashes):
+        _check_weights(weights)
+    else:
+        text, ends = "".join(texts), np.cumsum(np.concatenate(lengths)).tolist()
+        MassMeasure([text[i:j] for i, j in zip([0, *ends], ends)], weights)
     if normalized:
-        measure = normalize(measure)
-    return len(measure), measure.total, measure.weights
+        weights = _probabilities(weights)
+        _check_normalized(weights)
+    return weights.size, float(weights.sum()), weights
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -446,7 +484,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
         rows = recover_distribution_probe(measure, tol=tol)
     else:
         # the order and the probability the solver attained there
-        orders, probs = _invert(_probabilities(measure), (args.target,), tol)
+        orders, probs = _invert(_probabilities(measure.weights), (args.target,), tol)
         header = ["target", "order", "probability"]
         rows = [(args.target, orders.tolist()[0], probs.tolist()[0])]
     _write_table(args.format, "invert", {}, header, rows)

@@ -99,6 +99,9 @@ _PASS_ELEMENTS = 2**16
 # splits a dot across threads from about 10**4 values on, and its sum then
 # depends on OPENBLAS_NUM_THREADS
 _BLAS_DOT_VALUES = 2**13
+# Values per chunk of _kl_slope: a chunk's temporaries stay in cache, and
+# only its array of terms is as large as a pass
+_KL_CHUNK = 2**13
 
 
 def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -311,26 +314,38 @@ def _kl_slope(s: _LogSupport, rs: np.ndarray, log_mean: np.ndarray) -> np.ndarra
     ``h(v) = ((v - 1) e**v + 1) / v**2 >= 0``.  It cannot cancel, an error
     in ``ln M_r`` moves it only in proportion to ``r``, and at ``r = 0`` it
     is ``Var(ln x) / 2``.  ``h`` is its Taylor series where ``|v| <= 1/2``,
-    and ``(rho (v - 1) + w_hat) / v**2`` elsewhere, with the escort weight
-    ``rho = exp(ln w_hat + v)``, which cannot overflow.
+    and ``(rho (v - 1) + w_hat) / v**2`` at the entries where ``|v| > 1/2``,
+    with the escort weight ``rho = exp(ln w_hat + v)``, which cannot
+    overflow.  The terms are elementwise, so they are formed a chunk of
+    ``_KL_CHUNK`` values at a time, and only the array of terms, which is
+    summed whole, is as large as a pass.
     """
-    c = s.log_x - log_mean[:, None]
-    v = c * rs[:, None]
-    top = min(float(np.abs(v).max()), 0.5)
-    small = np.clip(v, -0.5, 0.5) if top == 0.5 else v
-    h = np.zeros(v.shape)
-    # 16 terms reach double precision at |v| = 1/2; where every v is 0, h = 1/2
-    for j in range(15 if top else 0, -1, -1):
-        h *= small
-        h += (j + 1) / math.factorial(j + 2)
-    h *= s.norm_w
-    if top == 0.5:
-        big = np.abs(v) > 0.5
-        v = np.where(big, v, 1.0)
-        h = np.where(big, (np.exp(s.log_w + v) * (v - 1.0) + s.norm_w) / (v * v), h)
-    c *= c
-    h *= c
-    return h.sum(axis=1)
+    terms = np.zeros((rs.size, s.log_x.size))
+    buf = np.empty((rs.size, min(s.log_x.size, _KL_CHUNK)))
+    for start in range(0, s.log_x.size, _KL_CHUNK):
+        cols = slice(start, start + _KL_CHUNK)
+        h = terms[:, cols]
+        v = buf[:, : h.shape[1]]
+        np.subtract(s.log_x[cols], log_mean[:, None], out=v)
+        v *= rs[:, None]
+        top = max(float(v.max()), -float(v.min()))
+        if top > 0.5:
+            big = v > 0.5
+            big |= v < -0.5
+            vb = v[big]
+            np.clip(v, -0.5, 0.5, out=v)
+        # 16 terms reach double precision at |v| = 1/2; where every v is 0, h = 1/2
+        for j in range(15 if top else 0, -1, -1):
+            h *= v
+            h += (j + 1) / math.factorial(j + 2)
+        h *= s.norm_w[cols]
+        if top > 0.5:
+            log_w, norm_w = (np.broadcast_to(a[cols], v.shape)[big] for a in (s.log_w, s.norm_w))
+            h[big] = (np.exp(log_w + vb) * (vb - 1.0) + norm_w) / (vb * vb)
+        c = np.subtract(s.log_x[cols], log_mean[:, None], out=v)
+        c *= c
+        h *= c
+    return terms.sum(axis=1)
 
 
 def _log_mean_slope(s: _LogSupport, orders: ArrayLike) -> tuple[np.ndarray, np.ndarray]:

@@ -42,11 +42,8 @@ class MassMeasure:
         w = np.array(self.weights, dtype=float)
         if len(labels) != w.size:
             raise ValueError(f"{len(labels)} labels for {w.size} weights")
-        # equal labels hash equally, so sorted hashes that never meet are
-        # proof of uniqueness; where two meet, the exact check decides
-        hashes = np.fromiter(map(hash, labels), np.int64, len(labels))
-        hashes.sort()
-        if (hashes[1:] == hashes[:-1]).any() and len(set(labels)) != len(labels):
+        # where two label hashes meet, the exact check decides
+        if not _unique_hashes(_label_hashes(labels)) and len(set(labels)) != len(labels):
             dupes = sorted(l for l, count in Counter(labels).items() if count > 1)
             raise ValueError(f"duplicate labels: {dupes}")
         _check_weights(w)
@@ -78,11 +75,30 @@ class Distribution(MassMeasure):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        total = self.weights.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"probabilities sum to {total!r}, not 1 within {NORMALIZATION_TOL}"
-            )
+        _check_normalized(self.weights)
+
+
+def _label_hashes(labels: Sequence[str]) -> np.ndarray:
+    """The ``hash`` of each label, as an int64 array."""
+    return np.fromiter(map(hash, labels), np.int64, len(labels))
+
+
+def _unique_hashes(hashes: np.ndarray) -> bool:
+    """Whether no two of ``hashes`` are equal; sorts them in place.  Equal
+    labels hash equally, so hashes that never meet prove their labels
+    unique; where two meet, only the labels themselves can tell."""
+    hashes.sort()
+    return not (hashes[1:] == hashes[:-1]).any()
+
+
+def _check_normalized(p: np.ndarray) -> None:
+    """The rule of a ``Distribution``: ``p`` sums to 1 within
+    ``NORMALIZATION_TOL``."""
+    total = p.sum()
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(
+            f"probabilities sum to {total!r}, not 1 within {NORMALIZATION_TOL}"
+        )
 
 
 def from_counts(labels: Sequence[str], counts: Sequence[int]) -> MassMeasure:
@@ -104,12 +120,13 @@ def normalize(m: MassMeasure) -> Distribution:
     Always divides by the total, even when it is already 1, so the result
     coincides bit for bit with the order-0 escort of the weights.
     """
-    return Distribution(m.labels, _probabilities(m))
+    return Distribution(m.labels, _probabilities(m.weights))
 
 
-def _probabilities(m: MassMeasure) -> np.ndarray:
-    """The weights of ``normalize(m)``, bitwise, without building it."""
-    return m.weights / m.weights.sum()
+def _probabilities(weights: np.ndarray) -> np.ndarray:
+    """``weights`` divided by their total: the weights of ``normalize``,
+    bitwise, without building a measure."""
+    return weights / weights.sum()
 
 
 def aligned_weights(p: MassMeasure, q: MassMeasure) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

@@ -277,7 +277,7 @@ def invert_probability(m: MassMeasure, target_p: float, tol: float = 1e-10) -> f
     stops moving short of ``tol``, or when ``pi`` at +-1e6 misses the target
     by no more than its own rounding.
     """
-    return float(_invert(_probabilities(m), (target_p,), tol)[0][0])
+    return float(_invert(_probabilities(m.weights), (target_p,), tol)[0][0])
 
 
 @np.errstate(all="ignore")  # inf and NaN iterates are settled by the comparisons
@@ -472,7 +472,7 @@ def recover_distribution_probe(
     are grouped by one stable sort of the probabilities, each run of equal
     values a row; labels are sorted and joined only when some values tie.
     """
-    p = _probabilities(m)
+    p = _probabilities(m.weights)
     by_p = np.argsort(p, kind="stable")
     sorted_p = p[by_p]
     # a run of equal probabilities starts where one exceeds the one before;

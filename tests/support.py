@@ -326,9 +326,9 @@ def reference_read_measure(path: str) -> MassMeasure:
     """The input reader as it was before it streamed: the whole text is read,
     and a CSV file is parsed by ``csv.reader`` over an ``io.StringIO`` copy
     of it.  ``csv.Error`` escapes as it is.  JSON records go to the
-    library's own ``_measure_from_json``, which this oracle does not check;
-    only the sniffing in front of it is."""
-    from srenyi.cli import _measure_from_json
+    library's own ``_json_block``, which this oracle does not check; only
+    the sniffing in front of it is."""
+    from srenyi.cli import _json_block
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -336,7 +336,7 @@ def reference_read_measure(path: str) -> MassMeasure:
     if not stripped:
         raise ValueError(f"{path}: empty input file")
     if path.lower().endswith(".json") or stripped[0] in "[{":
-        return _measure_from_json(path, text)
+        return MassMeasure(*_json_block(path, text))
     labels, weights = [], []
     for row in csv.reader(io.StringIO(text)):
         if not row or not "".join(row).strip():

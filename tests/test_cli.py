@@ -796,24 +796,110 @@ def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_spectrum_peak_memory(capsys, tmp_path):
-    """The traced peak of a spectrum of 10**5 weights stays under 12 MB.
-    Labels are checked for uniqueness by sorting their hashes, not by a set,
-    and are freed before the kernel allocates; the peak is then the reader's,
-    ≈ 9.9 MB on Python 3.11 (smaller ``str`` headers make it less from 3.12
-    on).  A label set and labels kept through the kernel made it ≈ 16 MB."""
-    w = 1.0 - np.random.default_rng(41).random(10**5)
-    path = tmp_path / "large.csv"
-    path.write_text("".join(f"x{i},{v!r}\n" for i, v in enumerate((w / w.sum()).tolist())))
+def traced_spectrum_peak(capsys, path, *flags):
+    """The ``tracemalloc`` peak of ``main(["spectrum", path, *flags])``,
+    which must succeed."""
     gc.collect()
     tracemalloc.start()
     try:
-        code = main(["spectrum", str(path)])
+        code = main(["spectrum", str(path), *flags])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
-    assert peak < 12e6, peak
+    return peak
+
+
+@pytest.fixture
+def large_csv(tmp_path):
+    w = 1.0 - np.random.default_rng(41).random(10**5)
+    path = tmp_path / "large.csv"
+    path.write_text("".join(f"x{i},{v!r}\n" for i, v in enumerate((w / w.sum()).tolist())))
+    return path
+
+
+def test_spectrum_peak_memory(capsys, large_csv):
+    """The traced peak of a spectrum of 10**5 weights stays under 7 MB.
+    The reader keeps no label string past its block, only the label hashes
+    and the joined text and lengths of the labels, and ``_kl_slope`` forms
+    its terms a chunk at a time; the peak, ≈ 5.1 MB on Python 3.11, is then
+    the kernel's: the log-support, the weights and one array of terms.
+    Labels kept until the file was read made it ≈ 9.9 MB, and a label set
+    and labels kept through the kernel ≈ 16 MB."""
+    assert traced_spectrum_peak(capsys, large_csv) < 7e6
+
+
+def test_normalized_spectrum_peak_memory(capsys, large_csv):
+    """``--normalize`` divides the weights without building a measure, and
+    stays under the same 7 MB (≈ 10.6 MB when it built a ``Distribution``)."""
+    assert traced_spectrum_peak(capsys, large_csv, "--normalize") < 7e6
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalized"])
+def test_spectrum_reads_a_pipe(capsys, ucb_csv, flags):
+    """``srenyi spectrum /dev/stdin`` reads a pipe once and prints what it
+    prints for the file."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "srenyi", "spectrum", "/dev/stdin", *flags],
+        input=Path(ucb_csv).read_bytes(),
+        capture_output=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == run(capsys, ["spectrum", ucb_csv, *flags])[1]
+
+
+def test_repeated_label_in_a_pipe_is_named():
+    """Uniqueness is proved from the label hashes of one read: a pipe of
+    10**5 rows whose last label repeats the first cannot be read again, and
+    the repeated label is still named."""
+    rows = "".join(f"x{i},1\n" for i in range(99_999)) + "x0,1\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "srenyi", "spectrum", "/dev/stdin"],
+        input=rows.encode(),
+        capture_output=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"srenyi: error: duplicate labels: ['x0']\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalized"])
+def test_colliding_label_hashes(capsys, monkeypatch, tmp_path, flags):
+    """With every label hash equal, ``srenyi spectrum`` rebuilds the labels
+    from their record and builds the measure: distinct labels print the
+    bytes they print without the collision, and repeated ones are named."""
+    distinct, repeated = tmp_path / "distinct.csv", tmp_path / "repeated.csv"
+    distinct.write_text(
+        'label,weight\n"a,b",1\n"x\ny",2\n\u00e9 ,3\n'
+        + "".join(f"x{i},{i}\n" for i in range(2000))
+    )
+    repeated.write_text("a,1\nb,2\n\u00e9,3\n\u00e9,4\na,5\n")
+    expected = run(capsys, ["spectrum", str(distinct), *flags])
+    assert expected[0] == 0
+    monkeypatch.setattr(srenyi.measures, "hash", lambda label: 0, raising=False)
+    assert run(capsys, ["spectrum", str(distinct), *flags]) == expected
+    assert run(capsys, ["spectrum", str(repeated), *flags]) == (
+        1,
+        "",
+        "srenyi: error: duplicate labels: ['a', '\u00e9']\n",
+    )
+
+
+def test_normalized_spectrum_keeps_the_distribution_rule(capsys, monkeypatch, ucb_csv):
+    """``--normalize`` builds no ``Distribution`` but checks its rule, the
+    same ``NORMALIZATION_TOL``, with the same message."""
+    monkeypatch.setattr(srenyi.measures, "NORMALIZATION_TOL", -1.0)
+    with pytest.raises(ValueError) as exc:
+        srenyi.normalize(read_measure(ucb_csv))
+    assert run(capsys, ["spectrum", ucb_csv, "--normalize"]) == (
+        1,
+        "",
+        f"srenyi: error: {exc.value}\n",
+    )
 
 
 def test_import_leaves_scipy_out():

@@ -15,8 +15,14 @@ invalid UTF-8 byte in a later block of the file is the error reported,
 where the earlier reader decoded everything first.  And a UTF-8 byte-order
 mark at the start of a file is dropped, so such a file reads as the
 earlier reader read the same bytes without it.
+
+``srenyi spectrum`` reads the same blocks but keeps no label string, only
+label hashes and a record of the labels.  On the same files it must exit
+with ``read_measure``'s first error, or print the spectrum of the measure
+that the earlier reader reads, normalized or not.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -28,6 +34,7 @@ from hypothesis import strategies as st
 
 from srenyi import cli
 from srenyi.cli import main, read_measure
+from srenyi.measures import normalize
 
 from support import UCB_COUNTS, UCB_LABELS, reference_read_measure
 
@@ -137,6 +144,52 @@ def test_edge_corpus_matches_reference(name, tmp_path):
     assert outcome(read_measure, str(path)) == expected
 
 
+def spectrum_outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def expected_spectrum_outcome(path, data: bytes, argv):
+    """What ``main(argv)``, a spectrum of ``path``, must give: the first
+    error of ``read_measure``, or else the spectrum of the measure that
+    ``reference_read_measure`` reads from ``data`` without a leading BOM,
+    normalized as ``normalize`` does it where ``argv`` asks.  ``path`` is
+    left holding ``data``."""
+    try:
+        read_measure(str(path))
+    except ValueError as exc:
+        return 1, "", f"srenyi: error: {exc}\n"
+
+    def reference_input(_, normalized):
+        measure = reference_read_measure(str(path))
+        if normalized:
+            measure = normalize(measure)
+        return len(measure), measure.total, measure.weights
+
+    path.write_bytes(data.removeprefix(BOM))
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_spectrum_input", reference_input)
+            return spectrum_outcome(argv)
+    finally:
+        path.write_bytes(data)
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalized"])
+@pytest.mark.parametrize("name", sorted(EDGE_CORPUS))
+def test_edge_corpus_spectrum_matches_read_measure(name, flags, tmp_path):
+    """``srenyi spectrum`` keeps no labels but reads and checks a file as
+    ``read_measure`` does: the same first error, or the spectrum of the
+    measure it reads."""
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(EDGE_CORPUS[name])
+    argv = ["spectrum", str(path), *flags]
+    assert spectrum_outcome(argv) == expected_spectrum_outcome(path, EDGE_CORPUS[name], argv)
+
+
 CELL = st.one_of(
     st.sampled_from(
         [
@@ -165,12 +218,20 @@ def csv_files(draw):
 @given(csv_files())
 @settings(max_examples=400, deadline=None)
 def test_generated_files_match_reference(tmp_path_factory, data):
+    """``read_measure`` reads what the earlier reader read, and
+    ``srenyi spectrum`` (on the named orders) gives what
+    :func:`expected_spectrum_outcome` says, at every block size."""
     path = tmp_path_factory.mktemp("generated") / "input.csv"
+    spectrum_argvs = [
+        ["spectrum", str(path), "--orders", "named", *flags]
+        for flags in ([], ["--normalize"])
+    ]
     default_limit = csv.field_size_limit()
     try:
         for limit in (default_limit, 4):
             csv.field_size_limit(limit)
             expected = reference_outcome(path, data)
+            spectra = [expected_spectrum_outcome(path, data, argv) for argv in spectrum_argvs]
             for block_chars in (cli._BLOCK_CHARS, 1, 7, 64):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(cli, "_BLOCK_CHARS", block_chars)
@@ -178,6 +239,8 @@ def test_generated_files_match_reference(tmp_path_factory, data):
                         limit,
                         block_chars,
                     )
+                    for argv, spectrum in zip(spectrum_argvs, spectra):
+                        assert spectrum_outcome(argv) == spectrum, (limit, block_chars, argv)
     finally:
         csv.field_size_limit(default_limit)
 
@@ -190,6 +253,11 @@ def test_bench_sized_file_matches_reference(tmp_path, monkeypatch):
         "label,weight\n" + "".join(f"x{i},{v!r}\n" for i, v in enumerate(w.tolist()))
     )
     assert_plain_after_header(path, monkeypatch)
+    for flags in ([], ["--normalize"]):
+        argv = ["spectrum", str(path), *flags]
+        expected = expected_spectrum_outcome(path, path.read_bytes(), argv)
+        assert expected[0] == 0
+        assert spectrum_outcome(argv) == expected
 
 
 @pytest.mark.parametrize(
