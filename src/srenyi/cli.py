@@ -114,12 +114,14 @@ def _read_blocks(path: str) -> Iterator[_Block]:
                 yield _json_block(path, "".join(head) + fh.read())
             else:
                 yield from _csv_blocks(path, "".join(head), fh)
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
         # the streaming decoder counts positions from the start of its
-        # current chunk; decoding the whole file reports the file offset
-        with open(path, "rb") as fh:
-            fh.read().decode("utf-8")
-        raise
+        # current chunk; decoding the whole file again reports the file
+        # offset, and a pipe, which cannot be read again, reports none
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                fh.read().decode("utf-8")
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
 def _json_block(path: str, text: str) -> _Block:
@@ -402,14 +404,14 @@ def _plot_file_text(orders: list[float], values: list[float]) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def _spectrum_input(path: str, normalized: bool) -> tuple[int, float, np.ndarray]:
-    """The size, total and weights of the measure in ``path``, normalized
-    or not, checked as :func:`read_measure` and ``normalize`` check it,
-    from one read of ``path``.  A spectrum prints no label, so each
-    block keeps only its label hashes and an exact record of its labels,
-    their joined text and lengths, and its label strings go with it.
-    Where two hashes meet, the labels are rebuilt from the record and the
-    measure decides: it names a repeated label, or it was a collision."""
+def _read_weights(path: str) -> np.ndarray:
+    """The weights of the measure in ``path``, checked as
+    :func:`read_measure` checks them, from one read of ``path``, for the
+    commands that print no label.  Each block keeps only its label hashes
+    and an exact record of its labels, their joined text and lengths, and
+    its label strings go with it.  Where two hashes meet, the labels are
+    rebuilt from the record and the measure decides: it names a repeated
+    label, or it was a collision."""
     hashes, texts, lengths, weights = [], [], [], []
     for labels, block_weights in _read_blocks(path):
         hashes.append(_label_hashes(labels))
@@ -417,29 +419,28 @@ def _spectrum_input(path: str, normalized: bool) -> tuple[int, float, np.ndarray
         lengths.append(np.fromiter(map(len, labels), np.int32, len(labels)))
         weights.append(block_weights)
     weights = np.concatenate(weights)
-    hashes = np.concatenate(hashes)
-    if _unique_hashes(hashes):
+    if _unique_hashes(np.concatenate(hashes)):
         _check_weights(weights)
     else:
         text, ends = "".join(texts), np.cumsum(np.concatenate(lengths)).tolist()
         MassMeasure([text[i:j] for i, j in zip([0, *ends], ends)], weights)
-    if normalized:
-        weights = _probabilities(weights)
-        _check_normalized(weights)
-    return weights.size, float(weights.sum()), weights
+    return weights
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     grid = parse_orders(args.orders)
     base = resolve_base(args.base)
-    n, total, weights = _spectrum_input(args.input, args.normalize)
-    columns = _columns(_LogSupport(weights, weights), grid, base)
+    weights = _read_weights(args.input)
+    if args.normalize:
+        weights = _probabilities(weights)
+        _check_normalized(weights)
     meta = {
-        "n": n,
-        "total_mass": total,
+        "n": weights.size,
+        "total_mass": float(weights.sum()),
         "base": base,
         "normalized": bool(args.normalize),
     }
+    columns = _columns(_LogSupport(weights, weights), grid, base)
     header = ["order", "entropy", "equiv_prob", "potential", "derivative"]
     _write_table(args.format, "spectrum", meta, header, zip(*columns))
     if args.plot_data:
@@ -473,18 +474,18 @@ def cmd_divergence(args: argparse.Namespace) -> int:
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
-    measure = read_measure(args.input)
-    tol = args.tol
-    if not tol > 0:
-        raise OptionError(f"--tol must be positive, got {tol}")
+    # only the rows of --all print labels
+    data = read_measure(args.input) if args.all else _read_weights(args.input)
+    if not args.tol > 0:
+        raise OptionError(f"--tol must be positive, got {args.tol}")
     if args.target is not None and math.isnan(args.target):
         raise OptionError("--target must not be NaN")
     if args.all:
         header = ["labels", "order", "probability"]
-        rows = recover_distribution_probe(measure, tol=tol)
+        rows = recover_distribution_probe(data, tol=args.tol)
     else:
         # the order and the probability the solver attained there
-        orders, probs = _invert(_probabilities(measure.weights), (args.target,), tol)
+        orders, probs = _invert(_probabilities(data), (args.target,), args.tol)
         header = ["target", "order", "probability"]
         rows = [(args.target, orders.tolist()[0], probs.tolist()[0])]
     _write_table(args.format, "invert", {}, header, rows)

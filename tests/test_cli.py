@@ -22,8 +22,10 @@ from numpy.testing import assert_allclose
 
 import srenyi
 from srenyi.cli import main, read_measure
+from srenyi.measures import MassMeasure
 
 from support import SEAM_SEEDS, UCB_COUNTS, UCB_LABELS, near_flat_weights
+from test_input import EDGE_CORPUS
 
 LOG2_6 = 2.584962500721156
 
@@ -799,10 +801,15 @@ def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
 def traced_spectrum_peak(capsys, path, *flags):
     """The ``tracemalloc`` peak of ``main(["spectrum", path, *flags])``,
     which must succeed."""
+    return traced_peak(capsys, ["spectrum", str(path), *flags])
+
+
+def traced_peak(capsys, argv):
+    """The ``tracemalloc`` peak of ``main(argv)``, which must succeed."""
     gc.collect()
     tracemalloc.start()
     try:
-        code = main(["spectrum", str(path), *flags])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -900,6 +907,115 @@ def test_normalized_spectrum_keeps_the_distribution_rule(capsys, monkeypatch, uc
         "",
         f"srenyi: error: {exc.value}\n",
     )
+
+
+def test_bad_utf8_in_a_pipe_names_no_offset(tmp_path):
+    """An invalid UTF-8 byte past the decoder's first chunk is reported
+    with its offset in the file when the input is a file, also one given
+    as /dev/stdin, and with none when it is a pipe, which cannot be read
+    again for the offset."""
+    data = EDGE_CORPUS["bad_utf8_past_first_chunk"]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    argv = [sys.executable, "-m", "srenyi", "spectrum", "/dev/stdin"]
+    with open(path, "rb") as fh:
+        from_file = subprocess.run(
+            argv, stdin=fh, capture_output=True, text=True, timeout=60, env=child_env()
+        )
+    from_pipe = subprocess.run(
+        argv, input=data, capture_output=True, timeout=60, env=child_env()
+    )
+    offset = data.index(b"\xff")
+    assert (from_file.returncode, from_file.stdout) == (1, "")
+    assert from_file.stderr == (
+        "srenyi: error: 'utf-8' codec can't decode byte 0xff "
+        f"in position {offset}: invalid start byte\n"
+    )
+    assert (from_pipe.returncode, from_pipe.stdout) == (1, b"")
+    assert from_pipe.stderr == (
+        b"srenyi: error: /dev/stdin: not valid UTF-8 (invalid start byte)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [(["--target", "0.2"], []), (["--all"], ["MassMeasure"])],
+    ids=["target", "all"],
+)
+def test_invert_target_builds_no_measure(capsys, monkeypatch, ucb_csv, argv, built):
+    """``invert --target`` prints no label and reads the weights alone;
+    ``--all``, whose rows name labels, builds the one measure it reads."""
+    made, init = [], MassMeasure.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MassMeasure, "__init__", counting)
+    assert run(capsys, ["invert", ucb_csv, *argv])[0] == 0
+    assert made == built
+
+
+def test_invert_target_peak_memory(capsys, large_csv):
+    """``invert --target`` on 10**5 weights keeps no label string: its
+    traced peak stays under 7 MB (≈ 10.7 MB when it read a measure)."""
+    assert traced_peak(capsys, ["invert", str(large_csv), "--target", "1e-5"]) < 7e6
+
+
+def test_invert_target_colliding_label_hashes(capsys, monkeypatch, tmp_path):
+    """With every label hash equal, ``invert --target`` rebuilds the labels
+    from their record: distinct labels print the bytes they print without
+    the collision, and repeated ones are named."""
+    distinct, repeated = tmp_path / "distinct.csv", tmp_path / "repeated.csv"
+    distinct.write_text(
+        'label,weight\n"a,b",1\n"x\ny",2\n\u00e9 ,3\n'
+        + "".join(f"x{i},{i}\n" for i in range(2000))
+    )
+    repeated.write_text("a,1\nb,2\n\u00e9,3\n\u00e9,4\na,5\n")
+    argv = ["invert", str(distinct), "--target", "5e-4"]
+    expected = run(capsys, argv)
+    assert expected[0] == 0
+    monkeypatch.setattr(srenyi.measures, "hash", lambda label: 0, raising=False)
+    assert run(capsys, argv) == expected
+    assert run(capsys, ["invert", str(repeated), "--target", "0.2"]) == (
+        1,
+        "",
+        "srenyi: error: duplicate labels: ['a', '\u00e9']\n",
+    )
+
+
+def test_repeated_label_in_a_pipe_is_named_by_invert_target():
+    """``invert --target`` reads a pipe once, and a last label of 10**5
+    that repeats the first is still named."""
+    rows = "".join(f"x{i},1\n" for i in range(99_999)) + "x0,1\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "srenyi", "invert", "/dev/stdin", "--target", "1e-5"],
+        input=rows.encode(),
+        capture_output=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"srenyi: error: duplicate labels: ['x0']\n"
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CORPUS))
+def test_edge_corpus_invert_target_matches_read_measure(capsys, monkeypatch, tmp_path, name):
+    """``invert --target`` keeps no label but exits with ``read_measure``'s
+    first error, or prints what the weights of the measure it reads give."""
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(EDGE_CORPUS[name])
+    argv = ["invert", str(path), "--target", "0.5"]
+    try:
+        measure = read_measure(str(path))
+    except ValueError as exc:
+        expected = (1, "", f"srenyi: error: {exc}\n")
+    else:
+        with monkeypatch.context() as mp:
+            mp.setattr(srenyi.cli, "_read_weights", lambda _: measure.weights)
+            expected = run(capsys, argv)
+    assert run(capsys, argv) == expected
 
 
 def test_import_leaves_scipy_out():

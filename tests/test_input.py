@@ -16,10 +16,13 @@ where the earlier reader decoded everything first.  And a UTF-8 byte-order
 mark at the start of a file is dropped, so such a file reads as the
 earlier reader read the same bytes without it.
 
-``srenyi spectrum`` reads the same blocks but keeps no label string, only
-label hashes and a record of the labels.  On the same files it must exit
-with ``read_measure``'s first error, or print the spectrum of the measure
-that the earlier reader reads, normalized or not.
+The commands that print no label, ``srenyi spectrum`` and ``srenyi invert
+--target``, read the same blocks through ``cli._read_weights``, which keeps
+no label string, only label hashes and a record of the labels.  On the same
+files ``srenyi spectrum`` must exit with ``read_measure``'s first error, or
+print the spectrum of the measure that the earlier reader reads, normalized
+or not.  A file with an invalid UTF-8 byte is reported with its offset in
+the file; a pipe, which cannot be read again, names no offset.
 """
 
 import contextlib
@@ -34,7 +37,6 @@ from hypothesis import strategies as st
 
 from srenyi import cli
 from srenyi.cli import main, read_measure
-from srenyi.measures import normalize
 
 from support import UCB_COUNTS, UCB_LABELS, reference_read_measure
 
@@ -156,23 +158,20 @@ def expected_spectrum_outcome(path, data: bytes, argv):
     """What ``main(argv)``, a spectrum of ``path``, must give: the first
     error of ``read_measure``, or else the spectrum of the measure that
     ``reference_read_measure`` reads from ``data`` without a leading BOM,
-    normalized as ``normalize`` does it where ``argv`` asks.  ``path`` is
-    left holding ``data``."""
+    normalized by the command where ``argv`` asks.  ``path`` is left
+    holding ``data``."""
     try:
         read_measure(str(path))
     except ValueError as exc:
         return 1, "", f"srenyi: error: {exc}\n"
 
-    def reference_input(_, normalized):
-        measure = reference_read_measure(str(path))
-        if normalized:
-            measure = normalize(measure)
-        return len(measure), measure.total, measure.weights
+    def reference_weights(_):
+        return reference_read_measure(str(path)).weights
 
     path.write_bytes(data.removeprefix(BOM))
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_spectrum_input", reference_input)
+            mp.setattr(cli, "_read_weights", reference_weights)
             return spectrum_outcome(argv)
     finally:
         path.write_bytes(data)

@@ -116,6 +116,19 @@ class TestConstruction:
         m = MassMeasure(("a", "b", "c"), np.array([1.0, 0.0, 2.0]))
         assert m.support_labels == ("a", "c")
 
+    def test_repr(self):
+        """Each label with its weight in ``%g`` form, under the class name."""
+        m = MassMeasure(("a", "b", "c"), [1, 2.5, 0])
+        assert repr(m) == "MassMeasure(a=1, b=2.5, c=0)"
+        assert repr(normalize(from_counts(("x", "y"), (1, 3)))) == "Distribution(x=0.25, y=0.75)"
+        assert repr(MassMeasure(("tiny",), [1e-300])) == "MassMeasure(tiny=1e-300)"
+
+    def test_items(self):
+        """``(label, weight)`` pairs in label order, each weight a Python float."""
+        items = list(MassMeasure(("b", "a", "c"), np.array([2.5, 1.0, 0.0])).items())
+        assert items == [("b", 2.5), ("a", 1.0), ("c", 0.0)]
+        assert {type(w) for _, w in items} == {float}
+
 
 class TestNormalize:
     def test_ucb_probabilities(self, ucb_counts):
