@@ -99,7 +99,8 @@ def _read_blocks(path: str) -> Iterator[_Block]:
     character; the lines up to it are kept, and the rest of the file is
     read a block of whole lines at a time (CSV) or at once (JSON).  A UTF-8
     byte-order mark at the start of the file, as spreadsheets write one, is
-    dropped.
+    dropped.  A byte that is not UTF-8 is an error that names the path and,
+    in a regular file, the byte's offset in it.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -116,12 +117,16 @@ def _read_blocks(path: str) -> Iterator[_Block]:
                 yield from _csv_blocks(path, "".join(head), fh)
     except UnicodeDecodeError as exc:
         # the streaming decoder counts positions from the start of its
-        # current chunk; decoding the whole file again reports the file
-        # offset, and a pipe, which cannot be read again, reports none
-        if os.path.isfile(path):
-            with open(path, "rb") as fh:
-                fh.read().decode("utf-8")
-        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        # current chunk; decoding the whole file again finds the offset in
+        # the file, and a pipe, which cannot be read again, gives none
+        reason = exc.reason
+        try:
+            if os.path.isfile(path):
+                with open(path, "rb") as fh:
+                    fh.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            reason = f"byte {whole.start}: {whole.reason}"
+        raise ValueError(f"{path}: not valid UTF-8 ({reason})") from None
 
 
 def _json_block(path: str, text: str) -> _Block:

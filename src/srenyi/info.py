@@ -92,9 +92,24 @@ def shifted_divergence(
 def _divergence_support(p: MassMeasure, q: MassMeasure) -> _LogSupport:
     """The log-support of ``(p weights, p/q)`` on the support of ``p``, with
     the labels aligned once, so that every order of ``D_r(p || q)`` is one
-    kernel call on it."""
+    kernel call on it.
+
+    The kernel reads the ratio only through its logs, and no log is taken
+    of a ratio rounded past the doubles.  Where ``p/q`` is a normal double,
+    its log is ``ln(p/q)``, which is more accurate than ``ln p - ln q``
+    when ``p`` and ``q`` are close.  Elsewhere, where the ratio is 0, inf
+    or subnormal, it is ``ln p - ln q``: there ``|ln(p/q)| > 708``, so the
+    subtraction cannot cancel.  The exact extremes, which the +-inf orders
+    read, are those of the rounded ratio.
+    """
     labels, pw, qw = aligned_weights(p, q)
-    return _LogSupport(pw[pw > 0], _aligned_ratio(labels, pw, qw))
+    x = _aligned_ratio(labels, pw, qw)
+    pw, qw = pw[pw > 0], qw[pw > 0]
+    odd = (x < np.finfo(float).tiny) | (x == math.inf)
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    log_x[odd] = np.log(pw[odd]) - np.log(qw[odd])
+    return _LogSupport(pw, x, log_x)
 
 
 def shifted_cross_entropy(

@@ -131,7 +131,14 @@ def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.nda
 class _LogSupport:
     """Everything about one ``(weights, values)`` pair that does not depend
     on the order, computed once: the normalized weights ``w_hat`` and their
-    logs, and the logs of the values, all on the positive-weight support.
+    logs, the logs of the values and the exact least and largest value
+    ``lo`` and ``hi``, all on the positive-weight support.  The values
+    array itself is not kept.
+
+    The logs are ``np.log(values)`` unless the caller passes them as
+    ``log_x``, as a divergence does, whose values are ratios that may be
+    rounded past the doubles.  Such a caller passes a support without zero
+    weights, and ``lo`` and ``hi`` are still read from ``values``.
 
     This is the one place where the weights' scale is taken out.  With
     ``W = 2**e * c``, ``e = round(log2 W)`` and ``c`` within ``sqrt(2)`` of
@@ -145,33 +152,33 @@ class _LogSupport:
 
     ``scale`` (the largest finite ``|ln x|``) selects the branch of
     :func:`_log_moments` at each order without another pass over the data;
-    ``log_lo`` and ``log_hi`` are ``ln min x`` and ``ln max x``, the range
+    ``log_lo`` and ``log_hi`` are the least and largest ``ln x``, the range
     of every ``ln M_r``.  The arrays are trusted as a ``MassMeasure`` or the
     raw-array check leaves them, and are not validated again.
     """
 
-    __slots__ = ("values", "norm_w", "log_w", "log_x", "finite", "scale", "log_lo", "log_hi")
+    __slots__ = ("lo", "hi", "norm_w", "log_w", "log_x", "finite", "scale", "log_lo", "log_hi")
 
-    def __init__(self, weights: np.ndarray, values: np.ndarray):
+    def __init__(self, weights: np.ndarray, values: np.ndarray, log_x: np.ndarray | None = None):
         mask = weights > 0
         # a support without zero weights is taken as it is, not copied
         w, x = (weights, values) if mask.all() else (weights[mask], values[mask])
         total = w.sum()
-        self.values = x
+        self.lo, self.hi = float(x.min()), float(x.max())
         self.norm_w = w / total
         # the exact scale shift of the class docstring, in one buffer
         e = round(math.log2(total))
         with np.errstate(divide="ignore"):
-            self.log_x = np.log(x)
+            self.log_x = np.log(x) if log_x is None else log_x
             self.log_w = np.ldexp(w, -e)
             np.log(self.log_w, out=self.log_w)
             self.log_w -= math.log(math.ldexp(total, -e))
         lost = w < math.ldexp(1.0, e - 1022)
         self.log_w[lost] = np.log(w[lost]) - math.log(total)
         self.log_lo, self.log_hi = float(self.log_x.min()), float(self.log_x.max())
-        finite = np.isfinite(self.log_x)
-        self.finite = bool(finite.all())
-        logs = self.log_x if self.finite else self.log_x[finite]
+        # the logs hold no NaN, so only their extremes can be infinite
+        self.finite = -math.inf < self.log_lo and self.log_hi < math.inf
+        logs = self.log_x if self.finite else self.log_x[np.isfinite(self.log_x)]
         self.scale = max(float(logs.max(initial=0.0)), -float(logs.min(initial=0.0)))
 
     def log_mean(self, r: float) -> float:
@@ -182,7 +189,7 @@ class _LogSupport:
         """``M_r``: the exact max / min value at ``r = +-inf`` (not
         round-tripped through logs), ``exp(ln M_r)`` at every other order."""
         if math.isinf(r):
-            return float(self.values.max() if r > 0 else self.values.min())
+            return self.hi if r > 0 else self.lo
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_mean(r)))
 
@@ -428,7 +435,7 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
     s = _LogSupport(w, x)
     out = np.zeros_like(w)
     if math.isinf(r):
-        ties = s.values == (s.values.max() if r > 0 else s.values.min())
+        ties = x[w > 0] == s.mean(r)
         out[w > 0] = ties / ties.sum()
     elif r == 0.0:
         out[w > 0] = s.norm_w

@@ -132,20 +132,22 @@ def _probabilities(weights: np.ndarray) -> np.ndarray:
 def aligned_weights(p: MassMeasure, q: MassMeasure) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Common label order (sorted) with both weight vectors re-indexed to it.
 
-    The label *sets* must be equal; input order is irrelevant.
+    The label *sets* must be equal; input order is irrelevant.  Labels are
+    unique in a measure, so one sort of ``p``'s positions by label and one
+    label -> position dict of ``q`` align them: the sets are equal when the
+    sizes are and every label of ``p`` is found in ``q``.
     """
-    if set(p.labels) != set(q.labels):
+    by_label = sorted(range(len(p)), key=p.labels.__getitem__)
+    order = tuple(map(p.labels.__getitem__, by_label))
+    q_index = dict(zip(q.labels, range(len(q))))
+    q_at = list(map(q_index.get, order))
+    if len(q) != len(p) or None in q_at:
         only_p = _named(sorted(set(p.labels) - set(q.labels)))
         only_q = _named(sorted(set(q.labels) - set(p.labels)))
         raise LabelMismatchError(
             f"label sets differ (only in first: {only_p}, only in second: {only_q})"
         )
-    order = tuple(sorted(p.labels))
-    p_index = {l: i for i, l in enumerate(p.labels)}
-    q_index = {l: i for i, l in enumerate(q.labels)}
-    pw = p.weights[[p_index[l] for l in order]]
-    qw = q.weights[[q_index[l] for l in order]]
-    return order, pw, qw
+    return order, p.weights[by_label], q.weights[q_at]
 
 
 def ratio(p: MassMeasure, q: MassMeasure) -> np.ndarray:
@@ -178,6 +180,6 @@ def _aligned_ratio(
             f"second measure is zero on labels {_named(bad)} where the first is positive",
             labels=bad,
         )
-    # an overflowing ratio is +inf, which the kernel handles; no warning
+    # a ratio past the largest double is +inf, without a warning
     with np.errstate(over="ignore"):
         return pw[mask] / qw[mask]

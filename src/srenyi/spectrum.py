@@ -182,17 +182,16 @@ def _columns(support: _LogSupport, grid: OrderGrid, base: float, *, slope: bool 
     the same laws.  One kernel call evaluates the finite orders, whose
     columns are taken as arrays, and the +-inf rows are the exact extremes,
     with no potential or slope.  The slope is taken only when ``slope`` is
-    set, for a caller that keeps it, as :func:`sample_spectrum` does.  It
-    needs every value positive and finite, as every spectrum's is; on a
-    support holding 0 or inf, or without ``slope``, it is None at every
-    order.  The columns have passed :func:`_check_laws`.
+    set, for a caller that keeps it, as :func:`sample_spectrum` does; it
+    needs every ``ln x`` finite, as the logs of positive doubles are.
+    Without ``slope`` it is None at every order.  The columns have passed
+    :func:`_check_laws`.
     """
     ln_b = math.log(_check_base(base))
     orders = np.array(grid.finite_orders, dtype=float)
-    kernel = _log_mean_slope if slope and support.finite else _log_moments
-    log_means, slopes = kernel(support, orders)
-    # a divergence's M_r can pass the largest double, and 0 * inf is NaN at r = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    log_means, slopes = (_log_mean_slope if slope else _log_moments)(support, orders)
+    # a divergence's M_r can pass the largest double
+    with np.errstate(over="ignore"):
         prob, potential = np.exp(log_means), np.exp(orders * log_means)
     # 0.0 - x, not -x: a zero slope gives +0.0
     derivative = [None] * orders.size if slopes is None else (0.0 - slopes / ln_b).tolist()
@@ -316,7 +315,7 @@ def _invert(
     if np.isnan(t).any():
         raise ValueError("target probability must not be NaN")
     support = _LogSupport(p, p)
-    p_min, p_max = float(support.values.min()), float(support.values.max())
+    p_min, p_max = support.lo, support.hi
     outside = (t < p_min * (1.0 - tol)) | (t > p_max * (1.0 + tol))
     if outside.any():
         raise TargetOutOfRangeError(

@@ -29,6 +29,7 @@ from srenyi import (
     DEFAULT_BASE,
     Distribution,
     EntropyValue,
+    LabelMismatchError,
     MassMeasure,
     SpectrumConsistencyError,
     SpectrumTable,
@@ -261,6 +262,39 @@ def reference_escort_log_mean(weights, values, r, digits=30):
         return float(mu + sum(ri * di for ri, di in zip(rho, d)) / sum(rho))
 
 
+def reference_divergences(p, q, orders, digits=50):
+    """``D_r(p || q) = ln M_r(p_hat, p/q)`` in bits at each order ``r`` of
+    ``orders``, to about ``digits`` significant digits in stdlib
+    ``decimal`` arithmetic.
+
+    The weights are aligned float arrays, converted exactly; entries where
+    ``p`` is 0 are dropped, and ``q`` must be positive on the rest.  The
+    ratio is never rounded: ``ln x = ln p - ln q``, and ``M_r`` is
+    ``(sum p_hat exp(r ln x))**(1/r)``, ``exp(sum p_hat ln x)`` at
+    ``r = 0`` and the extreme ``x`` at ``r = +-inf``.  Its rounding is
+    relative to each term, so a sum next to 1 resolves a difference only
+    down to ``10**-digits``: ``D_1`` of ``p = (1e-310, 1)``,
+    ``q = (1e300, 1)`` is ``-1.44e-310`` bits and needs some 320 digits.
+    """
+    pairs = [(Decimal(float(a)), Decimal(float(b))) for a, b in zip(p, q) if a > 0]
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        total = sum(a for a, _ in pairs)
+        w_hat = [a / total for a, _ in pairs]
+        logs = [a.ln() - b.ln() for a, b in pairs]
+        ln_2, values = Decimal(2).ln(), []
+        for r in orders:
+            if math.isinf(r):
+                log_mean = max(logs) if r > 0 else min(logs)
+            elif r == 0.0:
+                log_mean = sum(wh * lx for wh, lx in zip(w_hat, logs))
+            else:
+                rd = Decimal(float(r))
+                log_mean = sum(wh * (rd * lx).exp() for wh, lx in zip(w_hat, logs)).ln() / rd
+            values.append(float(log_mean / ln_2))
+        return values
+
+
 def reference_validate(table: SpectrumTable) -> None:
     """``SpectrumTable.validate`` as a loop over the rows, as it was before
     the laws were checked on columns: every neighbour pair first (entropy
@@ -307,6 +341,23 @@ def reference_validate(table: SpectrumTable) -> None:
                 order=row.order,
                 residual=row.derivative,
             )
+
+
+def reference_aligned_weights(p: MassMeasure, q: MassMeasure):
+    """``measures.aligned_weights`` as it was before it aligned through one
+    sort and one dict: the label sets compared as sets, the sorted labels,
+    and a label -> index dict for each measure.  Its error message lists
+    every label that differs, as the library's does up to five of them."""
+    if set(p.labels) != set(q.labels):
+        only_p = sorted(set(p.labels) - set(q.labels))
+        only_q = sorted(set(q.labels) - set(p.labels))
+        raise LabelMismatchError(
+            f"label sets differ (only in first: {only_p}, only in second: {only_q})"
+        )
+    order = tuple(sorted(p.labels))
+    p_index = {l: i for i, l in enumerate(p.labels)}
+    q_index = {l: i for i, l in enumerate(q.labels)}
+    return order, p.weights[[p_index[l] for l in order]], q.weights[[q_index[l] for l in order]]
 
 
 def reference_label_groups(m: MassMeasure) -> tuple[list[str], list[float]]:

@@ -40,6 +40,7 @@ from support import (
     random_distribution,
     random_mass,
     random_order,
+    reference_divergences,
     self_information_check,
     shannon_entropy,
     skew_symmetric_divergence,
@@ -193,6 +194,82 @@ class TestDivergence:
         q = Distribution(("a", "b"), np.array([0.5, 0.5]))
         assert_allclose(shifted_divergence(p, q, INF).value, math.log2(1.8), rtol=1e-13)
         assert_allclose(shifted_divergence(p, q, -INF).value, math.log2(0.2), rtol=1e-13)
+
+
+class TestDivergenceAgainstDecimalOracle:
+    """``D_r(p || q)`` at every order of the default grid, as ``srenyi
+    divergence`` prints it (minus the entropy column of ``spectrum._columns``
+    on ``info._divergence_support``), against :func:`reference_divergences`.
+
+    The bound was fixed before any result was seen: ``u + 32 u L`` nats,
+    with ``u = 2**-53`` and ``L`` the largest ``|ln(p/q)|``.  The absolute
+    part, ``u``, is the rounding of ``p/q`` to a double: every ``ln(p/q)``
+    carries up to ``u`` of it, and ``D_r``, an escort mean of the logs,
+    passes it on whole, so no evaluation from the rounded ratio does better
+    where ``p`` and ``q`` are close.  The relative part, 32 ``u`` of the
+    largest log, covers the rounding of the logs and of the kernel.  A bound
+    relative to ``D_r`` itself would fail: ``D_1`` of the second case below
+    is ``-1.44e-310`` bits, and the double evaluation gives 0.0.
+
+    The cases are the three pairs whose ratio once left the doubles (the
+    first printed ``inf`` for a finite ``D_r``, the third exited 3), random
+    pairs whose ratios leave the doubles in both directions, and pairs with
+    ``q = p (1 + 1e-6 N(0, 1))`` at the scales ``1e-3`` and ``1e-300``.
+    Taking every log as ``ln p - ln q``, the near-equal pairs miss the
+    bound at both scales.
+    """
+
+    GRID = OrderGrid.default()
+    ROUNDING = 2.0**-53
+    PAST_THE_DOUBLES = (
+        ((1e10, 1.0), (1e-310, 1.0)),
+        ((1e-310, 1.0), (1e300, 1.0)),
+        ((1e10, 1e-300, 1.0), (1e-310, 1e300, 1.0)),
+    )
+
+    @staticmethod
+    def far_pairs(rng, count):
+        """Pairs of log-uniform weights over 1e-320 to 1e307 with at least
+        one ratio past the largest double and one below the least normal."""
+        while count:
+            p, q = 10.0 ** rng.uniform(-320.0, 307.0, (2, int(rng.integers(2, 9))))
+            with np.errstate(over="ignore"):
+                x = p / q
+            if (x == INF).any() and (x < np.finfo(float).tiny).any():
+                count -= 1
+                yield p, q
+
+    @staticmethod
+    def near_pairs(rng, scale, count):
+        for _ in range(count):
+            p = scale * rng.uniform(0.5, 1.5, int(rng.integers(2, 9)))
+            yield p, p * (1.0 + 1e-6 * rng.standard_normal(p.size))
+
+    def misses(self, pairs, digits=50):
+        orders = self.GRID.orders()
+        misses = []
+        for p, q in pairs:
+            labels = tuple(f"x{i}" for i in range(len(p)))
+            support = srenyi.info._divergence_support(
+                MassMeasure(labels, p), MassMeasure(labels, q)
+            )
+            got = srenyi.spectrum._columns(support, self.GRID, 2.0, slope=False)[1]
+            width = max(abs(math.log(a) - math.log(b)) for a, b in zip(p, q))
+            bound = self.ROUNDING * (1.0 + 32.0 * width) / math.log(2.0)
+            want = reference_divergences(p, q, orders, digits)
+            misses += [
+                (len(p), r, -h, d) for r, h, d in zip(orders, got, want) if not abs(-h - d) <= bound
+            ]
+        return misses
+
+    def test_ratios_past_the_doubles(self):
+        # D_1 of the second pair needs some 320 digits to resolve
+        assert not self.misses(self.PAST_THE_DOUBLES, digits=400)
+        assert not self.misses(self.far_pairs(np.random.default_rng(26), 12))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-300])
+    def test_near_equal_pairs(self, scale):
+        assert not self.misses(self.near_pairs(np.random.default_rng(27), scale, 12))
 
 
 class TestCrossEntropy:

@@ -7,10 +7,11 @@ methods, and any other goes through ``csv.reader`` and the row rules.
 ``io.StringIO`` copy of the whole text with ``csv.reader``.  Both must give
 the same labels, bitwise the same weights, and the same first error, on an
 edge corpus, on generated files (also at block sizes small enough that
-every row crosses a block end) and on a bench-sized file.  Two differences
+every row crosses a block end) and on a bench-sized file.  Four differences
 are intended.  A ``csv.Error`` (a field over ``csv.field_size_limit()``)
 is now a ``ValueError`` naming the file, which the CLI reports with exit
-code 1.  A file is decoded as it is read, so a bad row ahead of an
+code 1, and so is a ``UnicodeDecodeError``, whose message names the byte's
+offset in the file.  A file is decoded as it is read, so a bad row ahead of an
 invalid UTF-8 byte in a later block of the file is the error reported,
 where the earlier reader decoded everything first.  And a UTF-8 byte-order
 mark at the start of a file is dropped, so such a file reads as the
@@ -120,11 +121,14 @@ EDGE_CORPUS = {
 
 def outcome(read, path):
     """Labels and weight bytes, or the error text; the reference's escaping
-    ``csv.Error`` is mapped to the message the reader now raises."""
+    ``csv.Error`` and ``UnicodeDecodeError`` are mapped to the messages the
+    reader now raises."""
     try:
         measure = read(path)
     except csv.Error as exc:
         return "error", f"{path}: {exc}"
+    except UnicodeDecodeError as exc:
+        return "error", f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
     except ValueError as exc:
         return "error", str(exc)
     return measure.labels, measure.weights.tobytes()

@@ -20,7 +20,7 @@ from srenyi import (
     ratio,
 )
 
-from support import UCB_COUNTS, UCB_LABELS, UCB_TOTAL
+from support import UCB_COUNTS, UCB_LABELS, UCB_TOTAL, reference_aligned_weights
 
 
 class TestConstruction:
@@ -198,6 +198,36 @@ class TestAlignmentAndRatio:
         q = MassMeasure(("a", "z"), np.array([1.0, 1.0]))
         with pytest.raises(LabelMismatchError):
             ratio(p, q)
+
+    def test_alignment_matches_the_reference(self):
+        """One sort and one dict align as the set comparison and two dicts
+        did: the same order, bitwise the same weights, and the same message
+        when the sets differ, by a label that one side lacks (the sizes
+        differ) or by one on each side (they do not)."""
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            labels = [f"{chr(97 + int(k) % 26)}{k}" for k in rng.permutation(3 * n)[:n]]
+            p = MassMeasure(labels, 10.0 ** rng.uniform(-300.0, 300.0, n))
+            q_labels = [labels[i] for i in rng.permutation(n)]
+            kind = int(rng.integers(4))
+            if kind == 1:
+                q_labels.append("extra")
+            elif kind == 2:
+                q_labels.pop()
+            elif kind == 3:
+                q_labels[int(rng.integers(n))] = "other"
+            q = MassMeasure(q_labels, rng.random(len(q_labels)))
+            try:
+                want = reference_aligned_weights(p, q)
+            except LabelMismatchError as exc:
+                with pytest.raises(LabelMismatchError) as err:
+                    aligned_weights(p, q)
+                assert str(err.value) == str(exc)
+                continue
+            order, pw, qw = aligned_weights(p, q)
+            assert order == want[0]
+            assert (pw.tobytes(), qw.tobytes()) == (want[1].tobytes(), want[2].tobytes())
 
     def test_many_labels_are_named_by_the_first_five_and_the_count(self):
         labels = tuple("abcdefg")
