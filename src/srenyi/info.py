@@ -118,8 +118,12 @@ def shifted_cross_entropy(
     """Shifted Renyi cross-entropy ``-log_b M_r(p_hat, q)``.
 
     ``q`` may vanish on the support of ``p``; the value is then ``+inf``
-    for ``r <= 0`` (the mean collapses to 0) and finite for ``r > 0``.
-    Collapses to ``shifted_entropy(p, r, b)`` when ``q = p``.
+    for ``r <= 0`` (the mean collapses to 0).  For ``r > 0`` the outcomes
+    where ``q`` is 0 drop out of the mean: the value is finite while ``q``
+    is positive somewhere on the support of ``p``, however little of
+    ``p``'s mass is there (short of orders so small that it leaves the
+    doubles), and ``+inf`` where it is not.  Collapses to
+    ``shifted_entropy(p, r, b)`` when ``q = p``.
     """
     base = _check_base(base)
     r = _check_order(r)

@@ -110,20 +110,16 @@ def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.nda
     of each row, the row ``e = exp(row - top)`` and ``total = sum(e)``.
 
     ``ln(sum(exp(row))) = top + ln(total)`` then holds with no term able to
-    overflow, and ``e / total`` are the normalized escort weights.  An
-    infinite ``top`` leaves nothing to shift: an all ``-inf`` row has
-    ``total = 0``, and a row holding ``+inf`` is zeroed, which keeps
-    ``top + ln(total) = +inf`` without an overflow.  The rows are one fresh
-    array, returned as ``e``.
+    overflow, and ``e / total`` are the normalized escort weights.  Every
+    ``top`` is finite: the orders at which it would not be are taken by the
+    extreme rule of :func:`_log_moments` before a row is built.  A value
+    whose ``x**r`` is 0 is a ``-inf`` entry, whose ``e`` is 0.  The rows are
+    one fresh array, returned as ``e``.
     """
     a = np.multiply.outer(r, s.log_x)
     a += s.log_w
     top = a.max(axis=1)
-    shift = top
-    if not np.isfinite(top).all():
-        a[top == math.inf] = 0.0
-        shift = np.where(np.isinf(top), 0.0, top)
-    a -= shift[:, None]
+    a -= top[:, None]
     np.exp(a, out=a)
     return top, a, a.sum(axis=1)
 
@@ -153,11 +149,15 @@ class _LogSupport:
     ``scale`` (the largest finite ``|ln x|``) selects the branch of
     :func:`_log_moments` at each order without another pass over the data;
     ``log_lo`` and ``log_hi`` are the least and largest ``ln x``, the range
-    of every ``ln M_r``.  The arrays are trusted as a ``MassMeasure`` or the
-    raw-array check leaves them, and are not validated again.
+    of every ``ln M_r``.  ``dropped[r > 0]`` is the share of ``w_hat``
+    whose ``x**r`` is 0 at an order ``r``: that on the values ``+inf`` at
+    ``r < 0``, and on the values 0 at ``r > 0``.  Both shares are 0 on a
+    ``finite`` support, where they are not summed.  The arrays are trusted
+    as a ``MassMeasure`` or the raw-array check leaves them, and are not
+    validated again.
     """
 
-    __slots__ = ("lo", "hi", "norm_w", "log_w", "log_x", "finite", "scale", "log_lo", "log_hi")
+    __slots__ = ("lo", "hi", "norm_w", "log_w", "log_x", "finite", "scale", "log_lo", "log_hi", "dropped")
 
     def __init__(self, weights: np.ndarray, values: np.ndarray, log_x: np.ndarray | None = None):
         mask = weights > 0
@@ -178,7 +178,10 @@ class _LogSupport:
         self.log_lo, self.log_hi = float(self.log_x.min()), float(self.log_x.max())
         # the logs hold no NaN, so only their extremes can be infinite
         self.finite = -math.inf < self.log_lo and self.log_hi < math.inf
-        logs = self.log_x if self.finite else self.log_x[np.isfinite(self.log_x)]
+        logs, self.dropped = self.log_x, (0.0, 0.0)
+        if not self.finite:
+            self.dropped = tuple(float(self.norm_w[logs == e].sum()) for e in (math.inf, -math.inf))
+            logs = logs[np.isfinite(logs)]
         self.scale = max(float(logs.max(initial=0.0)), -float(logs.min(initial=0.0)))
 
     def log_mean(self, r: float) -> float:
@@ -234,17 +237,18 @@ def _log_sum_exp_pass(s: _LogSupport, r: np.ndarray, escort: bool) -> _Moments:
 def _expm1_pass(s: _LogSupport, r: np.ndarray, escort: bool) -> _Moments:
     """``ln M_r`` at near-zero orders ``r``, as
     ``log1p(sum w_hat * t) / r`` with ``t = expm1(r ln x)``, and the escort
-    mean from the same terms; expm1(-inf) = -1 and expm1(inf) = inf keep
-    the zero/inf value conventions intact.  Every ``|r ln x| <= 1`` here,
-    so the escort weights ``w_hat + w_hat * t`` need no shift, and their
-    total is ``1 + sum w_hat * t``, the sum that gives ``ln M_r``."""
+    mean from the same terms.  Every finite ``|r ln x| <= 1`` here, so the
+    escort weights ``w_hat + w_hat * t`` need no shift, and their total is
+    ``1 + sum w_hat * t``, the sum that gives ``ln M_r``.  A value whose
+    ``x**r`` is 0 has ``t = -1``; the lost-mass rule of :func:`_log_moments`
+    sends an order here only where such values hold at most half the mass,
+    so ``1 + sum w_hat * t`` stays above ``1/6`` and ``log1p`` cannot
+    cancel it."""
     terms = np.multiply.outer(r, s.log_x)
     np.expm1(terms, out=terms)
     terms *= s.norm_w
     excess = terms.sum(axis=1)
-    # log1p(-1) = -inf, and at a subnormal r the division can overflow
-    with np.errstate(divide="ignore", over="ignore"):
-        log_mean = np.log1p(np.maximum(excess, -1.0)) / r
+    log_mean = np.log1p(excess) / r
     if not escort:
         return log_mean, None
     terms += s.norm_w
@@ -257,29 +261,46 @@ def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Mo
     ``rho_i ~ w_i * x_i**r``.
 
     This is the one kernel behind every mean, entropy and spectrum column;
-    :func:`log_power_mean` documents the branches and conventions.  The
-    log-sum-exp and expm1 orders are evaluated in (orders x values) passes
-    of at most ``_PASS_ELEMENTS``, and every value is bitwise what a
-    one-order call gives.  Each such order takes exactly one exponential
-    pass, and its escort mean comes from that pass's own array, through
-    :func:`_escort_mean`.  The escort needs every value positive and
-    finite; it is NaN at ``+-inf``, at ``r = 0`` and in the subnormal
-    series.
+    :func:`log_power_mean` documents the branches and conventions.  It is
+    also the one place where values at 0 and ``+inf`` are decided, by two
+    rules, so that no pass sees an infinite row:
+
+    * the extreme rule: where ``r`` is ``+-inf`` or ``r * e`` is infinite,
+      ``e`` the extreme ``ln x`` on ``r``'s side (``log_hi`` at ``r > 0``,
+      ``log_lo`` at ``r < 0``), ``ln M_r`` is ``e``.  That is a 0 value at
+      ``r < 0``, an infinite one at ``r > 0``, a support all at 0 or all
+      at ``+inf``, and an order so large that ``r * e`` overflows, where
+      every other value's share of the mean is below the doubles;
+    * the lost-mass rule: an order at which ``x**r`` drops more than half
+      of ``w_hat`` (``s.dropped[r > 0]``) takes the log-sum-exp pass, which
+      sums the mass that survives.  There ``|r ln M_r| >= ln 2``, so the
+      pass's absolute rounding stays small against the result.  At or
+      below one half, the expm1 pass subtracts the mass that drops without
+      cancelling.
+
+    Both rules read only scalars of the support; the second is skipped on
+    a ``finite`` one.  The log-sum-exp and expm1 orders are evaluated in
+    (orders x values) passes of at most ``_PASS_ELEMENTS``, and every value
+    is bitwise what a one-order call gives.  Each such order takes exactly
+    one exponential pass, and its escort mean comes from that pass's own
+    array, through :func:`_escort_mean`.  The escort needs every value
+    positive and finite; it is NaN at ``+-inf``, at ``r = 0`` and in the
+    subnormal series.
     """
     rs = np.array(orders, dtype=float, ndmin=1)
-    log_x = s.log_x
     log_mean = np.empty(rs.size)
     escort_mean = np.full(rs.size, math.nan) if escort else None
     zero, series, lse, near = [], [], [], []
-    scale = s.scale
+    finite, scale = s.finite, s.scale
     for i, r in enumerate(rs.tolist()):
-        if math.isinf(r):
-            log_mean[i] = s.log_hi if r > 0 else s.log_lo
-        elif r == 0.0:
+        edge = s.log_hi if r > 0 else s.log_lo
+        if r == 0.0:
             zero.append(i)
-        elif abs(r) * scale > 1.0:
+        elif math.isinf(r) or math.isinf(r * edge):
+            log_mean[i] = edge
+        elif abs(r) * scale > 1.0 or not finite and s.dropped[r > 0] > 0.5:
             lse.append(i)
-        elif s.finite and abs(r) * scale < 1e-300:
+        elif finite and abs(r) * scale < 1e-300:
             series.append(i)
         else:
             near.append(i)
@@ -290,7 +311,7 @@ def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Mo
             )
         # elementwise product, not dot: BLAS is not guaranteed to propagate
         # the -inf from log(0) correctly
-        geo = float(np.sum(s.norm_w * log_x))
+        geo = float(np.sum(s.norm_w * s.log_x))
         log_mean[zero] = geo
         if series:
             # r*log(x) underflows into subnormals, where the product itself
@@ -298,11 +319,14 @@ def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Mo
             # with the slope at r = 0 and an O(r^2) truncation error that is
             # unobservable here
             log_mean[series] = geo + rs[series] * _kl_slope(s, np.zeros(1), np.array([geo]))[0]
-    for branch, kernel_pass in ((lse, _log_sum_exp_pass), (near, _expm1_pass)):
-        for idx in _passes(branch, log_x.size):
-            log_mean[idx], escort_here = kernel_pass(s, rs[idx], escort)
-            if escort:
-                escort_mean[idx] = escort_here
+    # at a subnormal order, ln M_r of a support that drops mass overflows to
+    # the -inf or +inf it tends to
+    with np.errstate(over="ignore"):
+        for branch, kernel_pass in ((lse, _log_sum_exp_pass), (near, _expm1_pass)):
+            for idx in _passes(branch, s.log_x.size):
+                log_mean[idx], escort_here = kernel_pass(s, rs[idx], escort)
+                if escort:
+                    escort_mean[idx] = escort_here
     # a power mean lies between the extreme values, which rounding alone
     # can carry ln M_r an ulp past
     np.maximum(log_mean, s.log_lo, out=log_mean)
@@ -394,13 +418,18 @@ def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     * ``r = 0`` with both: raises :class:`DiscontinuityError`, because the
       two one-sided limits disagree and no value is meaningful.
     * ``r < 0`` with a zero value: ``-inf``.  ``r > 0`` with an infinite
-      value: ``+inf``.  Both fall out of the log-sum-exp arithmetic.
+      value: ``+inf``.  Both are the extreme rule of :func:`_log_moments`.
+    * ``r > 0`` with a zero value, and ``r < 0`` with an infinite one: that
+      value's ``x**r`` is 0, so its weight counts in ``W`` but it adds
+      nothing to the sum.
 
     Dividing the log-sum-exp by ``r`` amplifies its absolute rounding error
     by ``1/r``, which would wreck orders like ``1e-9``; whenever every
-    ``r*log(x_i)`` lies in [-1, 1] the evaluation therefore switches to
-    ``log1p(sum w_i*expm1(r*log(x_i)))/r``, whose error stays bounded all
-    the way into the geometric limit.
+    finite ``r*log(x_i)`` lies in [-1, 1] the evaluation therefore switches
+    to ``log1p(sum w_i*expm1(r*log(x_i)))/r``, whose error stays bounded all
+    the way into the geometric limit, unless the values whose ``x**r`` is 0
+    hold more than half the mass (the lost-mass rule of
+    :func:`_log_moments`).
     """
     return _LogSupport(*_as_weight_value_arrays(weights, values)).log_mean(_check_order(r))
 
@@ -440,14 +469,16 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
     elif r == 0.0:
         out[w > 0] = s.norm_w
     else:
-        top, e, total = _shifted_exp_rows(s, np.array([r]))
-        if top[0] == math.inf:
+        # the extreme rule of _log_moments: a row whose top is infinite
+        top = r * (s.log_hi if r > 0 else s.log_lo)
+        if top == math.inf:
             raise DivergentEscortError(
                 f"escort weight diverges at order {r}: "
                 "a value is 0 with r < 0, or inf with r > 0"
             )
-        if total[0] == 0.0:
+        if top == -math.inf:
             raise ValueError("all escort weights are zero")
+        _, e, total = _shifted_exp_rows(s, np.array([r]))
         out[w > 0] = e[0] / total[0]
     return out
 

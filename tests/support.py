@@ -31,6 +31,7 @@ from srenyi import (
     EntropyValue,
     LabelMismatchError,
     MassMeasure,
+    OrderGrid,
     SpectrumConsistencyError,
     SpectrumTable,
     SupportViolationError,
@@ -125,7 +126,11 @@ def reference_log_moments(weights, values, r, escort=False):
     """``(ln M_r, E_rho[ln x] or None)`` at one order by the textbook
     out-of-place formulas: a max-shifted ``exp(a - top)`` for the
     log-sum-exp branch, ``sum(w_hat * expm1(r ln x))`` near order zero, with
-    the same branch thresholds as the library kernel.  The escort mean is
+    the same branch thresholds as the library kernel and its two rules for
+    values at 0 and ``+inf``: ``ln M_r`` is the extreme ``ln x`` on ``r``'s
+    side where ``r`` or ``r`` times that extreme is infinite, and an order
+    at which ``x**r`` drops more than half of ``w_hat`` takes the
+    log-sum-exp branch, whatever its ``|r| * scale``.  The escort mean is
     ``dot(rho, ln x) / total`` over the terms that give ``ln M_r``: the
     shifted exponentials ``e`` with ``total = sum(e)`` on the log-sum-exp
     branch, and ``rho = w_hat + w_hat * expm1(r ln x)`` with
@@ -163,25 +168,24 @@ def _unbounded_log_moments(weights, values, r, escort):
         log_x = np.log(x)
     finite = np.isfinite(log_x)
     scale = float(np.abs(log_x[finite]).max()) if finite.any() else 0.0
-
-    def shifted(a):
-        top = float(a.max())
-        if math.isinf(top):
-            return top, None, 1.0
-        e = np.exp(a - top)
-        return top, e, float(e.sum())
+    edge = float(log_x.max() if r > 0 else log_x.min())
+    dropped = float(norm_w[log_x == (-math.inf if r > 0 else math.inf)].sum())
 
     def escort_mean(rho, total):
         dot = np.dot(rho, log_x) if log_x.size <= 8192 else np.einsum("j,j->", rho, log_x)
         return float(dot) / total
 
-    if math.isinf(r):
-        return float(log_x.max() if r > 0 else log_x.min()), None
     if r == 0.0:
         return float(np.sum(norm_w * log_x)), None
-    scaled = r * log_x
-    if abs(r) * scale > 1.0:
-        top, e, e_total = shifted(log_w + scaled)
+    if math.isinf(r) or math.isinf(r * edge):
+        return edge, None
+    with np.errstate(over="ignore"):
+        scaled = r * log_x
+    if abs(r) * scale > 1.0 or dropped > 0.5:
+        a = log_w + scaled
+        top = float(a.max())
+        e = np.exp(a - top)
+        e_total = float(e.sum())
         log_mean = (top + math.log(e_total)) / r
         return log_mean, escort_mean(e, e_total) if escort else None
     if finite.all() and abs(r) * scale < 1e-300:
@@ -190,8 +194,7 @@ def _unbounded_log_moments(weights, values, r, escort):
         return geo + 0.5 * r * var, None
     terms = norm_w * np.expm1(scaled)
     excess = float(np.sum(terms))
-    with np.errstate(divide="ignore"):
-        log_mean = float(np.log1p(max(excess, -1.0)) / r)
+    log_mean = float(np.log1p(excess)) / r
     return log_mean, escort_mean(norm_w + terms, 1.0 + excess) if escort else None
 
 
@@ -293,6 +296,80 @@ def reference_divergences(p, q, orders, digits=50):
                 log_mean = sum(wh * (rd * lx).exp() for wh, lx in zip(w_hat, logs)).ln() / rd
             values.append(float(log_mean / ln_2))
         return values
+
+
+def reference_log_mean(weights, values, r, digits=50):
+    """``ln M_r`` of the weighted power mean at any order ``r``, with values
+    at 0 and ``+inf`` allowed, to about ``digits`` significant digits in
+    stdlib ``decimal`` arithmetic, from the definition alone.
+
+    The floats are converted exactly and zero-weight entries dropped.  At
+    ``r = +-inf`` it is the log of the largest / least value; at ``r = 0``
+    ``sum(w_hat ln x)``, ``-inf`` with a 0 value and ``+inf`` with an
+    infinite one (not both).  At any other order, a value whose ``x**r`` is
+    infinite (0 at ``r < 0``, ``+inf`` at ``r > 0``) makes it ``+-inf`` as
+    ``r`` is; the values whose ``x**r`` is 0 drop out of
+    ``sum(w_hat x**r)``, which is 0 (``ln M_r = -inf`` at ``r > 0``,
+    ``+inf`` at ``r < 0``) when they all do.  The sum is the log of
+    ``1 + O(|r| spread)`` where nothing drops, so the working precision has
+    ``-log10(|r| spread)`` guard digits, ``spread`` the largest ``|ln x|``
+    that stays.
+    """
+    pairs = [(Decimal(float(wi)), float(xi)) for wi, xi in zip(weights, values) if wi > 0]
+    lo, hi, r = min(x for _, x in pairs), max(x for _, x in pairs), float(r)
+
+    def ln(x):
+        return -math.inf if x == 0.0 else math.inf if x == math.inf else float(Decimal(x).ln())
+
+    if math.isinf(r):
+        return ln(hi if r > 0 else lo)
+    if r == 0.0 and (lo == 0.0 or hi == math.inf):
+        assert not (lo == 0.0 and hi == math.inf), "the order-0 mean of 0 and inf is undefined"
+        return ln(lo if lo == 0.0 else hi)
+    if r > 0 and hi == math.inf or r < 0 and lo == 0.0:
+        return math.copysign(math.inf, r)
+    kept = [(wi, Decimal(xi).ln()) for wi, xi in pairs if 0.0 < xi < math.inf]
+    if not kept:
+        return -math.copysign(math.inf, r)
+    spread = max(abs(lx) for _, lx in kept)
+    t = abs(r) * float(spread)
+    guard = max(0, math.ceil(-math.log10(t))) if t > 0 else 0
+    with localcontext() as ctx:
+        ctx.prec = digits + 10 + guard
+        total = sum(wi for wi, _ in pairs)
+        if r == 0.0:
+            return float(sum(wi * lx for wi, lx in kept) / total)
+        rd = Decimal(r)
+        return float((sum(wi * (rd * lx).exp() for wi, lx in kept) / total).ln() / rd)
+
+
+# The orders of the dropped-mass sweep: every default-grid order, and two
+# small orders of each sign, deep in the expm1 branch of a finite support
+DROPPED_MASS_ORDERS = OrderGrid.default().orders() + (-1e-9, 1e-9, -1e-300, 1e-300)
+
+
+def dropped_mass_supports(rng, dropped=(0.0, math.inf)):
+    """``(weights, values)`` of four entries: one value of ``dropped`` (0 or
+    ``+inf``) carries all but 1e-12, 1e-15 or 1e-17 of the mass, or 0.4 or
+    0.6 of it, and three positive values, spread over ``e**+-0.01``,
+    ``e**+-7`` or ``e**+-690``, share the rest."""
+    for value in dropped:
+        for kept in (1e-12, 1e-15, 1e-17, 0.6, 0.4):
+            for spread in (0.01, 7.0, 690.0):
+                u = rng.uniform(0.5, 1.0, 3)
+                x = np.exp(rng.uniform(-spread, spread, 3))
+                yield np.append(1.0 - kept, kept * u / u.sum()), np.append(value, x)
+
+
+def dropped_mass_bound(values, want):
+    """The bound in nats on ``|ln M_r - want|`` of the dropped-mass sweep,
+    fixed before any result was seen: ``64 u (1 + |want| + L)``, with
+    ``u = 2**-53`` and ``L`` the largest ``|ln x|`` of a positive finite
+    value.  The part in ``|want|`` is relative; the part in ``1 + L`` is
+    absolute, for the rounding of the logs themselves and for an
+    ``ln M_r`` near 0, where relative error alone is not the contract."""
+    logs = [abs(math.log(x)) for x in values if 0.0 < x < math.inf]
+    return 64.0 * 2.0**-53 * (1.0 + abs(want) + max(logs))
 
 
 def reference_validate(table: SpectrumTable) -> None:

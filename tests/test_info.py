@@ -32,8 +32,11 @@ from srenyi import (
 )
 
 from support import (
+    DROPPED_MASS_ORDERS,
     UCB_TOTAL,
     direct_entropy,
+    dropped_mass_bound,
+    dropped_mass_supports,
     entropy_via_escort_rewrite,
     kl_divergence,
     mass_displacement_check,
@@ -41,6 +44,7 @@ from support import (
     random_mass,
     random_order,
     reference_divergences,
+    reference_log_mean,
     self_information_check,
     shannon_entropy,
     skew_symmetric_divergence,
@@ -291,6 +295,21 @@ class TestCrossEntropy:
         assert shifted_cross_entropy(p, q0, 0.0).value == INF
         assert shifted_cross_entropy(p, q0, -1.0).value == INF
         assert math.isfinite(shifted_cross_entropy(p, q0, 1.0).value) is False
+
+    def test_dropped_mass_against_decimal_oracle(self):
+        """``X_r(p, q) = -ln M_r(p_hat, q) / ln 2`` where ``q`` is 0 on a
+        share of ``p`` of all but 1e-12, 1e-15 or 1e-17, or 0.4 or 0.6,
+        against the decimal definition within ``dropped_mass_bound``."""
+        labels, ln_2, misses = ("a", "b", "c", "d"), math.log(2.0), []
+        for p, q in dropped_mass_supports(np.random.default_rng(29), dropped=(0.0,)):
+            pm, qm = MassMeasure(labels, p), MassMeasure(labels, q)
+            for r in DROPPED_MASS_ORDERS:
+                got = shifted_cross_entropy(pm, qm, r).value
+                want = -reference_log_mean(p, q, r)
+                bound = dropped_mass_bound(q, want) / ln_2
+                if not (got == want / ln_2 or abs(got - want / ln_2) <= bound):
+                    misses.append((p[1:].sum(), q.tolist(), r, got, want / ln_2))
+        assert not misses
 
     def test_divergence_as_cross_entropy_of_ratio(self, rng):
         """D_r(p || q) equals the cross-entropy of order -r against q/p."""

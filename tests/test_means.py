@@ -24,10 +24,13 @@ from srenyi.cli import main
 from srenyi.means import _log_mean_slope, _log_moments, _LogSupport, _shifted_exp_rows
 
 from support import (
+    DROPPED_MASS_ORDERS,
     SEAM_SEEDS,
     UCB_COUNTS,
     KNFunctionPair,
     direct_power_mean,
+    dropped_mass_bound,
+    dropped_mass_supports,
     identity_pair,
     kn_mean,
     log_exp_pair,
@@ -35,6 +38,7 @@ from support import (
     power_pair,
     random_distribution,
     reference_escort_log_mean,
+    reference_log_mean,
     reference_log_mean_slope,
     reference_log_moments,
 )
@@ -108,6 +112,30 @@ class TestEdgeConventions:
     def test_extremes_ignore_zero_and_inf_interplay(self):
         assert power_mean([1, 1, 1], [0.0, 1.0, INF], INF) == INF
         assert power_mean([1, 1, 1], [0.0, 1.0, INF], -INF) == 0.0
+
+    @pytest.mark.parametrize("r", [-INF, -1.0, -1e-9, -1e-310, 0.0, 1e-310, 1e-9, 1.0, INF])
+    @pytest.mark.parametrize("value", [0.0, INF])
+    def test_all_zero_or_all_infinite_values(self, value, r):
+        """A support all at 0 or all at ``+inf`` has that mean at every
+        order class, with no warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert power_mean([0.5, 0.25, 0.25], [value] * 3, r) == value
+            assert log_power_mean([0.5, 0.25, 0.25], [value] * 3, r) == (INF if value else -INF)
+
+    @pytest.mark.parametrize("r", [-1.0, -1e-9, -1e-310, 1e-310, 1e-9, 1.0])
+    @pytest.mark.parametrize("value", [0.0, INF])
+    def test_all_zero_or_all_infinite_escort(self, value, r):
+        """Every ``x**r`` of such a support is infinite (0 at ``r < 0``,
+        ``+inf`` at ``r > 0``) or every one is 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if (value == INF) == (r > 0):
+                with pytest.raises(DivergentEscortError):
+                    escort_distribution([1, 1], [value, value], r)
+            else:
+                with pytest.raises(ValueError, match="all escort weights are zero"):
+                    escort_distribution([1, 1], [value, value], r)
 
 
 class TestValidation:
@@ -472,6 +500,10 @@ class TestEscort:
     def test_all_zero_escort(self):
         with pytest.raises(ValueError):
             escort_distribution([1, 1], [0.0, 0.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="all escort weights are zero"):
+                escort_distribution([1, 1], [INF, INF], -1.0)
 
 
 class TestMeanDerivative:
@@ -622,6 +654,26 @@ class TestLogMeanAgainstDecimalOracle:
         assert not misses
 
 
+class TestDroppedMassAgainstDecimalOracle:
+    """``log_power_mean`` where a value at 0 or ``+inf`` carries all but
+    1e-12, 1e-15 or 1e-17 of the mass, or 0.4 or 0.6 of it, against the
+    decimal definition at every default-grid order and at +-1e-9 and
+    +-1e-300, within the bound of ``dropped_mass_bound``; an infinite
+    ``ln M_r`` must be exact.  On such supports a sum of ``x**r - 1`` over
+    every value, with 1 added back, cancels the mass that survives (3e-3
+    relative where 1e-15 of it survives, ``+inf`` for a finite value at
+    1e-17), which the lost-mass rule of the kernel avoids."""
+
+    def test_log_power_mean(self):
+        misses = []
+        for w, x in dropped_mass_supports(np.random.default_rng(28)):
+            for r in DROPPED_MASS_ORDERS:
+                got, want = log_power_mean(w, x, r), reference_log_mean(w, x, r)
+                if not (got == want or abs(got - want) <= dropped_mass_bound(x, want)):
+                    misses.append((w[1:].sum(), x.tolist(), r, got, want))
+        assert not misses
+
+
 class TestDecimalSlopeOracleAcrossTheDoubles:
     """The decimal slope oracle itself, on self-supports whose weights
     spread over 1e+-300: every slope is ``>= 0`` (power means do not
@@ -767,16 +819,18 @@ class TestKernelIsTheOutOfPlaceFormula:
                     assert _bits(got) == _bits(want), (w.size, r)
 
     def test_zero_and_infinite_values(self):
-        w = np.array([0.5, 0.25, 0.25, 0.0])
-        for x in ([0.0, 0.5, 2.0, 3.0], [np.inf, 0.5, 2.0, 0.0]):
-            support = _LogSupport(w, np.asarray(x))
-            for r in self.ORDERS:
-                if r == 0.0:
-                    continue
-                # log1p(-1) / 1e-310 overflows to -inf on both routes
-                with np.errstate(over="ignore"):
+        """Where the 0 or inf values hold half the mass, the near-zero orders
+        at which they drop out take the expm1 route; where they hold three
+        quarters, the log-sum-exp route."""
+        for share in (0.5, 0.75):
+            w = np.array([share, (1.0 - share) / 2, (1.0 - share) / 2, 0.0])
+            for x in ([0.0, 0.5, 2.0, 3.0], [np.inf, 0.5, 2.0, 0.0]):
+                support = _LogSupport(w, np.asarray(x))
+                for r in self.ORDERS:
+                    if r == 0.0:
+                        continue
                     got, want = self.one_order(support, r), reference_log_moments(w, x, r)
-                assert _bits(got) == _bits(want), (x, r)
+                    assert _bits(got) == _bits(want), (share, x, r)
 
     def test_log_mean_stays_between_extreme_values(self):
         """``min ln x <= ln M_r <= max ln x`` at every default-grid order,
