@@ -453,24 +453,29 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
     at exactly 0.  ``r = 0`` gives the normalized weights (the 0^0 = 1
     convention), and ``r = +inf`` / ``-inf`` the uniform distribution over
     the argmax / argmin ties of the values on the support, which is the
-    pointwise limit.  Every other order takes the kernel's own row on the
+    pointwise limit.  So does a finite order at which ``r * e`` overflows,
+    ``e`` the finite extreme ``ln x`` on ``r``'s side, as in the extreme
+    rule of :func:`_log_moments`: every other value's share is below the
+    doubles there.  Every other order takes the kernel's own row on the
     ``_LogSupport`` of ``(weights, values)``: the escort weights are
     ``e / total`` of :func:`_shifted_exp_rows`, bitwise.  Raises
-    :class:`DivergentEscortError` when some escort weight is infinite and
-    ValueError when they are all zero.
+    :class:`DivergentEscortError` when some escort weight is infinite (a
+    value 0 at ``r < 0``, or ``+inf`` at ``r > 0``) and ValueError when
+    they are all zero.
     """
     w, x = _as_weight_value_arrays(weights, values)
     r = _check_order(r)
     s = _LogSupport(w, x)
     out = np.zeros_like(w)
-    if math.isinf(r):
-        ties = x[w > 0] == s.mean(r)
+    edge = s.log_hi if r > 0 else s.log_lo
+    top = r * edge
+    if math.isinf(r) or math.isinf(top) and math.isfinite(edge):
+        ties = x[w > 0] == (s.hi if r > 0 else s.lo)
         out[w > 0] = ties / ties.sum()
     elif r == 0.0:
         out[w > 0] = s.norm_w
     else:
         # the extreme rule of _log_moments: a row whose top is infinite
-        top = r * (s.log_hi if r > 0 else s.log_lo)
         if top == math.inf:
             raise DivergentEscortError(
                 f"escort weight diverges at order {r}: "

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 BRACKET_CAP = 1e6
-SEED_ORDERS = 64
+SEED_ORDERS = 80
 MAX_NEWTON_ROUNDS = 200
 
 
@@ -293,11 +293,14 @@ def _invert(
     lies between 0 and ``ln p_ext / (ln t - ln p_ext)`` (``p_ext`` the
     extreme on its side of ``pi_0``), clipped to ``+-BRACKET_CAP``.
 
-    The first kernel call evaluates ``r = 0``, and with more than
-    ``SEED_ORDERS`` targets also ``SEED_ORDERS`` shared orders spread
-    evenly in ``r / (1 + |r|)`` over the brackets of the lowest and the
-    highest target; :func:`_seeded_start` brackets and starts every target
-    from these seeds.
+    The first kernel call evaluates ``r = 0`` alone, or with more than
+    ``SEED_ORDERS`` targets ``SEED_ORDERS`` shared orders spread evenly in
+    ``c / (1 + |c|)``, ``c = 1 + r``, from the bound of the lowest to that
+    of the highest target, of which the one nearest 0 moves onto ``r = 0``.
+    They are densest at ``r = -1``, where the escort ``p**(1+r)`` is
+    uniform and ``ln pi_r`` bends most, and sparsest at the bounds, where
+    ``ln pi_r ~ A + B/r``.  :func:`_seeded_start` brackets and starts every
+    target from these seeds.
 
     Every later pass is one kernel call over the open targets, which take a
     Newton step on ``ln pi_r``, in ``1/r`` where ``|r| > 1``
@@ -328,10 +331,15 @@ def _invert(
     inner = log_t[interior]
     seeds = np.zeros(1)
     if inner.size > SEED_ORDERS:
-        neg = _root_bound(inner.min(), log_min)
-        pos = _root_bound(inner.max(), log_max)
-        u = np.linspace(-neg / (1.0 + neg), pos / (1.0 + pos), SEED_ORDERS)
-        seeds = np.sort(np.append(u / (1.0 - np.abs(u)), 0.0))
+        r_lo = -float(_root_bound(inner.min(), log_min))
+        r_hi = float(_root_bound(inner.max(), log_max))
+        # c = 1 + r is 0 where the escort is uniform, and ln pi bends most
+        u = np.linspace(*(c / (1.0 + abs(c)) for c in (1.0 + r_lo, 1.0 + r_hi)), SEED_ORDERS)
+        seeds = u / (1.0 - np.abs(u)) - 1.0
+        seeds[0], seeds[-1] = r_lo, r_hi  # the bounds, not their round trip through u
+        # r = 0 is always a seed: the nearest one moves onto it rather than
+        # sit just beside it, where its slope can also need _kl_slope
+        seeds[np.argmin(np.abs(seeds))] = 0.0
     seed_lp, seed_slope = _log_mean_slope(support, seeds)
     log_pi0 = float(seed_lp[np.searchsorted(seeds, 0.0)])
     orders = np.zeros(t.size)

@@ -475,6 +475,24 @@ class TestEscort:
         assert_allclose(escort_distribution(w, x, INF), [0, 0.5, 0.5, 0])
         assert_allclose(escort_distribution(w, x, -INF), [0, 0, 0, 1.0])
 
+    @pytest.mark.parametrize(
+        "x, r, expected",
+        [
+            ([1e-300, 1e300], 1e306, [0.0, 1.0]),
+            ([1e-300, 1e300], -1e306, [1.0, 0.0]),
+            ([0.01], 1e308, [1.0]),
+        ],
+    )
+    def test_overflowing_order_concentrates_on_ties(self, x, r, expected):
+        """Where ``r * ln x`` at the extreme value overflows, the escort is
+        the limit at ``r = +-inf``, as ``log_power_mean`` there is the
+        extreme value, not a divergent or an all-zero escort."""
+        w = [1.0] * len(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert escort_distribution(w, x, r).tolist() == expected
+            assert log_power_mean(w, x, r) == math.log(max(x) if r > 0 else min(x))
+
     def test_zero_weight_positions_stay_zero(self, rng):
         w = np.array([0.0, 1.0, 2.0])
         x = np.array([9.0, 1.0, 2.0])

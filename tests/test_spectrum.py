@@ -788,14 +788,14 @@ class TestTwelveDecadeRecovery:
     @pytest.mark.parametrize("seed", [1, 11, 12, 13, 59])
     def test_lockstep_kernel_calls(self, monkeypatch, seed):
         """One recovery of 200 values makes at most 6 kernel calls and
-        evaluates at most 3 orders per value on average: one call seeds
+        evaluates at most 2.5 orders per value on average: one call seeds
         every target, and the rest are Newton passes."""
         calls = self._count_kernel_calls(monkeypatch)
         rng = np.random.default_rng(seed)
         rows = recover_distribution_probe(self._measure(10.0 ** (-12.0 * rng.random(200))))
         assert len(rows) == 200
         assert len(calls) <= 6
-        assert sum(calls) / len(rows) <= 3.0
+        assert sum(calls) / len(rows) <= 2.5
 
     def test_far_tail_target_kernel_calls(self, monkeypatch):
         """A target at r = -15 starts at its closed-form bound, within a few
@@ -841,6 +841,62 @@ class TestTwelveDecadeRecovery:
         self._check(m)
         assert -srenyi.spectrum.BRACKET_CAP <= starts[1][0] <= starts[0][0]
 
+    def test_no_seed_beside_zero(self, monkeypatch):
+        """On these weights the seed nearest 0 would land at r = 0.0014,
+        beside r = 0, where its closed-form slope fails the rounding test;
+        it moves onto r = 0, and the seeding call takes ``_kl_slope`` at
+        r = 0 alone."""
+        rng = np.random.default_rng(2802)
+        m = self._measure(10.0 ** (-12.0 * rng.random(200)))
+        kl_slope, rows = srenyi.means._kl_slope, []
+
+        def spy(s, rs, log_mean):
+            rows.append(rs.tolist())
+            return kl_slope(s, rs, log_mean)
+
+        monkeypatch.setattr(srenyi.means, "_kl_slope", spy)
+        assert len(recover_distribution_probe(m)) == 200
+        assert rows == [[0.0]]
+
+    # Orders evaluated by one recovery of each family's weights (n = 200,
+    # default_rng(0)) with the former 64 seeds, spread evenly in r / (1 + |r|)
+    FORMER_ORDERS = {
+        "uniform": 539,
+        "counts": 505,
+        "two-scale": 639,
+        "log-uniform 1e12": 506,
+        "log-uniform 1e300": 470,
+        "zipf": 473,
+        "near-flat": 175,
+    }
+
+    @staticmethod
+    def _family(name, rng, n):
+        if name == "uniform":
+            return rng.random(n)
+        if name == "counts":
+            return rng.integers(1, 1000, n).astype(float)
+        if name == "two-scale":
+            return np.where(rng.random(n) < 0.5, 1.0, 1e-6) * (1.0 + rng.random(n))
+        if name == "log-uniform 1e12":
+            return 10.0 ** (-12.0 * rng.random(n))
+        if name == "log-uniform 1e300":
+            return 10.0 ** (-300.0 * rng.random(n))
+        if name == "zipf":
+            return 1.0 / np.arange(1, n + 1) ** (1.0 + rng.random())
+        return 1.0 + 1e-9 * rng.random(n)  # near-flat
+
+    @pytest.mark.parametrize("family", sorted(FORMER_ORDERS))
+    def test_family_orders_do_not_grow(self, monkeypatch, family):
+        """Seeds centred on r = -1 cost no weight family more orders than
+        the former placement did, beyond the SEED_ORDERS - 64 seeds added:
+        a near-flat recovery is the seeding call and one round, and spends
+        all of them."""
+        m = self._measure(self._family(family, np.random.default_rng(0), 200))
+        calls = self._count_kernel_calls(monkeypatch)
+        recover_distribution_probe(m)
+        assert sum(calls) <= self.FORMER_ORDERS[family] + srenyi.spectrum.SEED_ORDERS - 64
+
     @pytest.mark.parametrize(
         "r, max_calls", [(-15.0, 3), (-2.0, 7), (0.3, 5), (4.0, 8), (30.0, 7)]
     )
@@ -854,3 +910,55 @@ class TestTwelveDecadeRecovery:
         assert_allclose(invert_probability(m, target), r, rtol=1e-9)
         assert len(calls) <= max_calls
         assert sum(calls) <= 16
+
+
+class TestSeedPlacement:
+    """The shared seeds of a recovery are sorted and unique, include r = 0,
+    and lie inside the closed-form bounds of the lowest and the highest
+    interior target, wherever the targets sit."""
+
+    P = normalize(
+        MassMeasure(
+            tuple(f"x{i}" for i in range(200)),
+            10.0 ** (-6.0 * np.random.default_rng(4).random(200)),
+        )
+    ).weights
+
+    @pytest.mark.parametrize(
+        "orders, extremes",
+        [
+            (np.linspace(0.5, 30.0, 120), False),  # every target above pi_0
+            (np.linspace(-30.0, -0.5, 120), False),  # every target below pi_0
+            (np.linspace(-0.9, 8.0, 120), False),  # every root above -1
+            (np.linspace(-5.0, 5.0, 120), True),  # both bounds at BRACKET_CAP
+        ],
+    )
+    def test_seeds(self, monkeypatch, orders, extremes):
+        """A bound of a target t < 1 is at least 1, so c = 1 + r at the
+        lower end is at most 0 even where every root lies above -1; a target
+        within 1e-8 of an extreme weight puts its bound at the cap."""
+        p, spectrum = self.P, srenyi.spectrum
+        support = srenyi.means._LogSupport(p, p)
+        targets = [support.mean(r) for r in orders.tolist()]
+        if extremes:
+            targets += [p.min() * (1.0 + 1e-8), p.max() * (1.0 - 1e-8)]
+        log_t = np.log(targets)
+        lo = -spectrum._root_bound(log_t.min(), math.log(p.min()))
+        hi = spectrum._root_bound(log_t.max(), math.log(p.max()))
+        assert (lo == -spectrum.BRACKET_CAP and hi == spectrum.BRACKET_CAP) == extremes
+        solve, seen = spectrum._log_mean_slope, []
+
+        def spy(s, at):
+            seen.append(np.array(at, dtype=float))
+            return solve(s, at)
+
+        monkeypatch.setattr(spectrum, "_log_mean_slope", spy)
+        found, probs = spectrum._invert(p, targets, 1e-10)
+        seeds = seen[0]
+        assert seeds.size == spectrum.SEED_ORDERS
+        assert (np.diff(seeds) > 0.0).all()
+        assert 0.0 in seeds
+        assert seeds[0] == lo and seeds[-1] == hi
+        finite = np.isfinite(found)
+        assert finite.sum() == len(orders)
+        assert_allclose(probs[finite], np.array(targets)[finite], rtol=1e-10, atol=0)
