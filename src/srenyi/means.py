@@ -106,8 +106,9 @@ _KL_CHUNK = 2**13
 
 def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The log escort weights ``ln w_hat + r * ln x`` of ``s``, one row per
-    order of ``r``, through one max-shifted exponential pass: ``top = max``
-    of each row, the row ``e = exp(row - top)`` and ``total = sum(e)``.
+    order of ``r``, through one shifted exponential pass: ``top``, the
+    largest entry of each row, the row ``e = exp(row - top)`` and
+    ``total = sum(e)``.
 
     ``ln(sum(exp(row))) = top + ln(total)`` then holds with no term able to
     overflow, and ``e / total`` are the normalized escort weights.  Every
@@ -115,11 +116,33 @@ def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.nda
     extreme rule of :func:`_log_moments` before a row is built.  A value
     whose ``x**r`` is 0 is a ``-inf`` entry, whose ``e`` is 0.  The rows are
     one fresh array, returned as ``e``.
+
+    On a self-support (``s.peaks`` set) the row is the paper's own
+    ``sum w_hat**(1 + r)``: with ``x = w_hat * W`` the mass displacement
+    makes the entry ``c * ln w_hat + r * ln W``, ``c = 1 + r``, so its
+    largest entry is known in advance, at the largest ``w_hat`` where
+    ``c > 0`` and at the smallest where ``c < 0``.  The row minus its top
+    is ``c * (ln w_hat - ln w_hat_ext)``, the difference taken first, so
+    that no entry is ``inf - inf`` where ``c * ln w_hat`` alone overflows.
+    It is at most 0, exactly 0 at the extreme and everywhere at
+    ``r = -1``, and needs neither a max nor an add pass.  ``top`` is the
+    general row's own entry at the extreme, ``r * ln x_ext + ln w_hat_ext``,
+    so no rounding of ``ln W`` enters.  Every other support takes the
+    max-shifted row.
     """
-    a = np.multiply.outer(r, s.log_x)
-    a += s.log_w
-    top = a.max(axis=1)
-    a -= top[:, None]
+    if s.peaks is None:
+        a = np.multiply.outer(r, s.log_x)
+        a += s.log_w
+        top = a.max(axis=1)
+        a -= top[:, None]
+    else:
+        c = 1.0 + r
+        (lo_w, lo_x), (hi_w, hi_x) = s.peaks
+        up = c > 0.0
+        ext = np.where(up, hi_w, lo_w)
+        top = r * np.where(up, hi_x, lo_x) + ext
+        a = np.add.outer(-ext, s.log_w)
+        a *= c[:, None]
     np.exp(a, out=a)
     return top, a, a.sum(axis=1)
 
@@ -155,9 +178,17 @@ class _LogSupport:
     ``finite`` support, where they are not summed.  The arrays are trusted
     as a ``MassMeasure`` or the raw-array check leaves them, and are not
     validated again.
+
+    A caller that passes the weights themselves as the values (``values is
+    weights``) builds a self-support, the paper's ``M_r(w_hat, w)``.  Its
+    ``peaks`` are ``(ln w_hat, ln x)`` at the least and at the largest
+    ``ln w_hat``, from which :func:`_shifted_exp_rows` builds its rows;
+    on every other support ``peaks`` is None.
     """
 
-    __slots__ = ("lo", "hi", "norm_w", "log_w", "log_x", "finite", "scale", "log_lo", "log_hi", "dropped")
+    __slots__ = (
+        "lo", "hi", "norm_w", "log_w", "log_x", "finite", "scale", "log_lo", "log_hi", "dropped", "peaks",
+    )
 
     def __init__(self, weights: np.ndarray, values: np.ndarray, log_x: np.ndarray | None = None):
         mask = weights > 0
@@ -175,6 +206,10 @@ class _LogSupport:
             self.log_w -= math.log(math.ldexp(total, -e))
         lost = w < math.ldexp(1.0, e - 1022)
         self.log_w[lost] = np.log(w[lost]) - math.log(total)
+        self.peaks = None
+        if values is weights:
+            ends = int(self.log_w.argmin()), int(self.log_w.argmax())
+            self.peaks = tuple((float(self.log_w[i]), float(self.log_x[i])) for i in ends)
         self.log_lo, self.log_hi = float(self.log_x.min()), float(self.log_x.max())
         # the logs hold no NaN, so only their extremes can be infinite
         self.finite = -math.inf < self.log_lo and self.log_hi < math.inf
@@ -225,12 +260,14 @@ def _escort_mean(rho: np.ndarray, log_x: np.ndarray, total: np.ndarray) -> np.nd
 def _log_sum_exp_pass(s: _LogSupport, r: np.ndarray, escort: bool) -> _Moments:
     """``ln M_r = (top + ln(total)) / r`` at the orders ``r`` from one
     shifted exponential pass over the log escort weights
-    ``ln w_hat + r * ln x``, one row per order, and the escort mean from
-    the same pass.  The array dies on return, before the next pass
-    allocates one, which keeps large-n passes in cache."""
+    ``ln w_hat + r * ln x``, one row per order (on a self-support, in the
+    row form of :func:`_shifted_exp_rows`), and the escort mean from the
+    same pass.  ``ln(total)`` is one ``np.log`` over the pass's totals,
+    which gives each total bitwise what a one-element array gives it.  The
+    array dies on return, before the next pass allocates one, which keeps
+    large-n passes in cache."""
     top, a, total = _shifted_exp_rows(s, r)
-    # math.log, not np.log: numpy's vectorized log may differ in the last bit
-    log_mean = (top + np.fromiter(map(math.log, total.tolist()), float, total.size)) / r
+    log_mean = (top + np.log(total)) / r
     return log_mean, _escort_mean(a, s.log_x, total) if escort else None
 
 

@@ -125,7 +125,8 @@ def kl_divergence(p_dist, q_dist, base=2.0) -> float:
 def reference_log_moments(weights, values, r, escort=False):
     """``(ln M_r, E_rho[ln x] or None)`` at one order by the textbook
     out-of-place formulas: a max-shifted ``exp(a - top)`` for the
-    log-sum-exp branch, ``sum(w_hat * expm1(r ln x))`` near order zero, with
+    log-sum-exp branch, ``ln(total)`` by ``np.log``, and
+    ``sum(w_hat * expm1(r ln x))`` near order zero, with
     the same branch thresholds as the library kernel and its two rules for
     values at 0 and ``+inf``: ``ln M_r`` is the extreme ``ln x`` on ``r``'s
     side where ``r`` or ``r`` times that extreme is infinite, and an order
@@ -144,7 +145,13 @@ def reference_log_moments(weights, values, r, escort=False):
 
     A power mean lies between the smallest and the largest value on the
     support, so ``ln M_r`` is bounded into ``[min ln x, max ln x]``, which
-    rounding alone can overshoot by an ulp."""
+    rounding alone can overshoot by an ulp.
+
+    Where ``values is weights`` (a self-support) the log-sum-exp row is
+    the paper's ``w_hat**(1 + r)`` instead, shifted to its extreme:
+    ``exp(c * (ln w_hat - ln w_hat_ext))``, ``c = 1 + r``, ``ext`` the
+    largest ``ln w_hat`` where ``c > 0`` and the least elsewhere, with
+    ``top = r * ln x_ext + ln w_hat_ext``."""
     log_mean, escort_mean = _unbounded_log_moments(weights, values, r, escort)
     w = np.asarray(weights, dtype=float)
     with np.errstate(divide="ignore"):
@@ -182,11 +189,17 @@ def _unbounded_log_moments(weights, values, r, escort):
     with np.errstate(over="ignore"):
         scaled = r * log_x
     if abs(r) * scale > 1.0 or dropped > 0.5:
-        a = log_w + scaled
-        top = float(a.max())
-        e = np.exp(a - top)
+        if values is weights:
+            c = 1.0 + r
+            ext = int(log_w.argmax() if c > 0.0 else log_w.argmin())
+            top = r * float(log_x[ext]) + float(log_w[ext])
+            e = np.exp((log_w - log_w[ext]) * c)
+        else:
+            a = log_w + scaled
+            top = float(a.max())
+            e = np.exp(a - top)
         e_total = float(e.sum())
-        log_mean = (top + math.log(e_total)) / r
+        log_mean = (top + float(np.log(e_total))) / r
         return log_mean, escort_mean(e, e_total) if escort else None
     if finite.all() and abs(r) * scale < 1e-300:
         geo = float(np.sum(norm_w * log_x))

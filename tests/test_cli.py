@@ -571,10 +571,10 @@ class TestInvertCommand:
             0,
             "labels,order,probability\n"
             "E,-inf,0.12903225806451613\n"
-            "B,-1115.9790356510896,0.12925320371058338\n"
-            "F,-4.098398053970649,0.1577551922227125\n"
-            "D,1.9181228192351303,0.17498895271841508\n"
-            "C,83.44758994213704,0.20282810428827888\n"
+            "B,-1115.9790356510518,0.12925320371058338\n"
+            "F,-4.098398053970662,0.1577551922227125\n"
+            "D,1.9181228192351134,0.17498895271841508\n"
+            "C,83.4475899421376,0.20282810428827888\n"
             "A,inf,0.20614228899690676\n",
         )
         _, data = parse_csv_table(out)
@@ -606,8 +606,8 @@ class TestInvertCommand:
     @pytest.mark.parametrize(
         "target, line",
         [
-            ("0.2", "0.2,38.09700087504878,0.2000000000000003"),
-            ("0.14", "0.14,-16.4226468234799,0.14000000000000007"),
+            ("0.2", "0.2,38.09700087504891,0.2000000000000003"),
+            ("0.14", "0.14,-16.4226468234799,0.14"),
             ("0.2061", "0.2061,7697.136122933428,0.2061"),
             ("0.1291", "0.1291,-3898.973337594488,0.12909999999986785"),
             ("0.20614228899690676", "0.20614228899690676,inf,0.20614228899690676"),
