@@ -28,7 +28,7 @@ so at their own boundary.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,8 @@ __all__ = [
 ArrayLike = Sequence[float] | np.ndarray
 # ln M_r at each order of a kernel pass or call, and the escort mean or None
 _Moments = tuple[np.ndarray, np.ndarray | None]
+# r * ln M_r at each order of a kernel pass, its escort rows and their totals
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _check_weights(weights: ArrayLike) -> np.ndarray:
@@ -104,18 +106,21 @@ _BLAS_DOT_VALUES = 2**13
 _KL_CHUNK = 2**13
 
 
-def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The log escort weights ``ln w_hat + r * ln x`` of ``s``, one row per
-    order of ``r``, through one shifted exponential pass: ``top``, the
-    largest entry of each row, the row ``e = exp(row - top)`` and
-    ``total = sum(e)``.
+def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> _Rows:
+    """``(r * ln M_r, rows, totals)`` of ``s`` at the orders ``r``, the
+    row shape of both kernel branches, through one shifted exponential pass
+    over the log escort weights ``ln w_hat + r * ln x``, one row per order:
+    ``top``, the largest entry of each row, the row ``e = exp(row - top)``
+    and ``total = sum(e)``.
 
-    ``ln(sum(exp(row))) = top + ln(total)`` then holds with no term able to
-    overflow, and ``e / total`` are the normalized escort weights.  Every
-    ``top`` is finite: the orders at which it would not be are taken by the
-    extreme rule of :func:`_log_moments` before a row is built.  A value
-    whose ``x**r`` is 0 is a ``-inf`` entry, whose ``e`` is 0.  The rows are
-    one fresh array, returned as ``e``.
+    ``r * ln M_r = top + ln(total)`` then holds with no term able to
+    overflow, and ``e / total`` are the normalized escort weights, which
+    :func:`escort_distribution` returns.  ``ln(total)`` is one ``np.log``
+    over the pass's totals, which gives each total bitwise what a
+    one-element array gives it.  Every ``top`` is finite: the orders at
+    which it would not be are taken by the extreme rule of
+    :func:`_order_rule` before a row is built.  A value whose ``x**r`` is 0
+    is a ``-inf`` entry, whose ``e`` is 0.  The rows are one fresh array.
 
     On a self-support (``s.peaks`` set) the row is the paper's own
     ``sum w_hat**(1 + r)``: with ``x = w_hat * W`` the mass displacement
@@ -128,7 +133,9 @@ def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.nda
     ``r = -1``, and needs neither a max nor an add pass.  ``top`` is the
     general row's own entry at the extreme, ``r * ln x_ext + ln w_hat_ext``,
     so no rounding of ``ln W`` enters.  Every other support takes the
-    max-shifted row.
+    max-shifted row.  An entry ``c * (ln w_hat - ln w_hat_ext)`` may still
+    overflow to ``-inf`` where ``r * ln x`` does not, so callers run this
+    under ``errstate(over="ignore")``.
     """
     if s.peaks is None:
         a = np.multiply.outer(r, s.log_x)
@@ -144,7 +151,26 @@ def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> tuple[np.ndarray, np.nda
         a = np.add.outer(-ext, s.log_w)
         a *= c[:, None]
     np.exp(a, out=a)
-    return top, a, a.sum(axis=1)
+    total = a.sum(axis=1)
+    return top + np.log(total), a, total
+
+
+def _expm1_rows(s: _LogSupport, r: np.ndarray) -> _Rows:
+    """``(r * ln M_r, rows, totals)`` at near-zero orders ``r``, in the row
+    shape of :func:`_shifted_exp_rows`: ``r * ln M_r = log1p(sum w_hat * t)``
+    with ``t = expm1(r ln x)``, the escort rows ``w_hat + w_hat * t`` and
+    their totals ``1 + sum w_hat * t``, the sum that gives ``ln M_r``.
+    Every finite ``|r ln x| <= 1`` here, so the rows need no shift.  A
+    value whose ``x**r`` is 0 has ``t = -1`` and escort weight 0; the
+    lost-mass rule of :func:`_order_rule` sends an order here only where
+    such values hold at most half the mass, so ``1 + sum w_hat * t`` stays
+    above ``1/6`` and ``log1p`` cannot cancel it."""
+    rows = np.multiply.outer(r, s.log_x)
+    np.expm1(rows, out=rows)
+    rows *= s.norm_w
+    excess = rows.sum(axis=1)
+    rows += s.norm_w
+    return np.log1p(excess), rows, 1.0 + excess
 
 
 class _LogSupport:
@@ -170,7 +196,7 @@ class _LogSupport:
     not scaled.
 
     ``scale`` (the largest finite ``|ln x|``) selects the branch of
-    :func:`_log_moments` at each order without another pass over the data;
+    :func:`_order_rule` at each order without another pass over the data;
     ``log_lo`` and ``log_hi`` are the least and largest ``ln x``, the range
     of every ``ln M_r``.  ``dropped[r > 0]`` is the share of ``w_hat``
     whose ``x**r`` is 0 at an order ``r``: that on the values ``+inf`` at
@@ -179,11 +205,14 @@ class _LogSupport:
     as a ``MassMeasure`` or the raw-array check leaves them, and are not
     validated again.
 
-    A caller that passes the weights themselves as the values (``values is
-    weights``) builds a self-support, the paper's ``M_r(w_hat, w)``.  Its
-    ``peaks`` are ``(ln w_hat, ln x)`` at the least and at the largest
-    ``ln w_hat``, from which :func:`_shifted_exp_rows` builds its rows;
-    on every other support ``peaks`` is None.
+    Values equal to the weights make a self-support, the paper's
+    ``M_r(w_hat, w)``, whatever object holds them: ``values is weights``,
+    or an equal first entry and ``np.array_equal``, so that ``(p, p)``,
+    ``(p, p.copy())`` and two equal lists give the same bits, and a
+    general support pays one scalar comparison.  Its ``peaks`` are
+    ``(ln w_hat, ln x)`` at the least and at the largest ``ln w_hat``,
+    from which :func:`_shifted_exp_rows` builds its rows; on every other
+    support ``peaks`` is None.
     """
 
     __slots__ = (
@@ -207,7 +236,7 @@ class _LogSupport:
         lost = w < math.ldexp(1.0, e - 1022)
         self.log_w[lost] = np.log(w[lost]) - math.log(total)
         self.peaks = None
-        if values is weights:
+        if values is weights or values[0] == weights[0] and np.array_equal(values, weights):
             ends = int(self.log_w.argmin()), int(self.log_w.argmax())
             self.peaks = tuple((float(self.log_w[i]), float(self.log_x[i])) for i in ends)
         self.log_lo, self.log_hi = float(self.log_x.min()), float(self.log_x.max())
@@ -257,50 +286,27 @@ def _escort_mean(rho: np.ndarray, log_x: np.ndarray, total: np.ndarray) -> np.nd
     return np.fromiter((np.einsum("j,j->", row, log_x) for row in rho), float, len(rho)) / total
 
 
-def _log_sum_exp_pass(s: _LogSupport, r: np.ndarray, escort: bool) -> _Moments:
-    """``ln M_r = (top + ln(total)) / r`` at the orders ``r`` from one
-    shifted exponential pass over the log escort weights
-    ``ln w_hat + r * ln x``, one row per order (on a self-support, in the
-    row form of :func:`_shifted_exp_rows`), and the escort mean from the
-    same pass.  ``ln(total)`` is one ``np.log`` over the pass's totals,
-    which gives each total bitwise what a one-element array gives it.  The
-    array dies on return, before the next pass allocates one, which keeps
-    large-n passes in cache."""
-    top, a, total = _shifted_exp_rows(s, r)
-    log_mean = (top + np.log(total)) / r
-    return log_mean, _escort_mean(a, s.log_x, total) if escort else None
+def _moments_pass(rows: Callable[..., _Rows], s: _LogSupport, r: np.ndarray, escort: bool) -> _Moments:
+    """``ln M_r`` at the orders ``r`` of one kernel pass, from the
+    ``(r * ln M_r, rows, totals)`` of ``rows`` (:func:`_shifted_exp_rows`
+    or :func:`_expm1_rows`), and, when ``escort`` is set, the escort mean
+    of those same rows.  The rows die on return, before the next pass
+    allocates its own, which keeps large-n passes in cache."""
+    k, rho, total = rows(s, r)
+    return k / r, _escort_mean(rho, s.log_x, total) if escort else None
 
 
-def _expm1_pass(s: _LogSupport, r: np.ndarray, escort: bool) -> _Moments:
-    """``ln M_r`` at near-zero orders ``r``, as
-    ``log1p(sum w_hat * t) / r`` with ``t = expm1(r ln x)``, and the escort
-    mean from the same terms.  Every finite ``|r ln x| <= 1`` here, so the
-    escort weights ``w_hat + w_hat * t`` need no shift, and their total is
-    ``1 + sum w_hat * t``, the sum that gives ``ln M_r``.  A value whose
-    ``x**r`` is 0 has ``t = -1``; the lost-mass rule of :func:`_log_moments`
-    sends an order here only where such values hold at most half the mass,
-    so ``1 + sum w_hat * t`` stays above ``1/6`` and ``log1p`` cannot
-    cancel it."""
-    terms = np.multiply.outer(r, s.log_x)
-    np.expm1(terms, out=terms)
-    terms *= s.norm_w
-    excess = terms.sum(axis=1)
-    log_mean = np.log1p(excess) / r
-    if not escort:
-        return log_mean, None
-    terms += s.norm_w
-    return log_mean, _escort_mean(terms, s.log_x, 1.0 + excess)
-
-
-def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Moments:
-    """``ln M_r`` of a log-support at every order of ``orders`` and, when
-    ``escort`` is set, the escort log mean ``E_rho[ln x]`` with
-    ``rho_i ~ w_i * x_i**r``.
-
-    This is the one kernel behind every mean, entropy and spectrum column;
-    :func:`log_power_mean` documents the branches and conventions.  It is
-    also the one place where values at 0 and ``+inf`` are decided, by two
-    rules, so that no pass sees an infinite row:
+def _order_rule(
+    s: _LogSupport, rs: np.ndarray
+) -> tuple[np.ndarray, list[int], list[int], list[int], list[int]]:
+    """The kernel's one order rule, which picks the branch of each order
+    of ``rs`` on ``s``: it returns ``ln M_r`` at the orders that the
+    extreme rule takes (every other entry of that array is unset), and the
+    indices of the orders that are exactly 0, in the subnormal series, on
+    the log-sum-exp branch and on the expm1 branch.  :func:`_log_moments`
+    and :func:`escort_distribution` both read it.  It is also the one place
+    where values at 0 and ``+inf`` are decided, by two rules, so that no
+    pass sees an infinite row:
 
     * the extreme rule: where ``r`` is ``+-inf`` or ``r * e`` is infinite,
       ``e`` the extreme ``ln x`` on ``r``'s side (``log_hi`` at ``r > 0``,
@@ -309,24 +315,18 @@ def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Mo
       at ``+inf``, and an order so large that ``r * e`` overflows, where
       every other value's share of the mean is below the doubles;
     * the lost-mass rule: an order at which ``x**r`` drops more than half
-      of ``w_hat`` (``s.dropped[r > 0]``) takes the log-sum-exp pass, which
-      sums the mass that survives.  There ``|r ln M_r| >= ln 2``, so the
-      pass's absolute rounding stays small against the result.  At or
-      below one half, the expm1 pass subtracts the mass that drops without
-      cancelling.
+      of ``w_hat`` (``s.dropped[r > 0]``) takes the log-sum-exp branch,
+      which sums the mass that survives.  There ``|r ln M_r| >= ln 2``, so
+      the pass's absolute rounding stays small against the result.  At or
+      below one half, the expm1 branch subtracts the mass that drops
+      without cancelling.
 
     Both rules read only scalars of the support; the second is skipped on
-    a ``finite`` one.  The log-sum-exp and expm1 orders are evaluated in
-    (orders x values) passes of at most ``_PASS_ELEMENTS``, and every value
-    is bitwise what a one-order call gives.  Each such order takes exactly
-    one exponential pass, and its escort mean comes from that pass's own
-    array, through :func:`_escort_mean`.  The escort needs every value
-    positive and finite; it is NaN at ``+-inf``, at ``r = 0`` and in the
-    subnormal series.
+    a ``finite`` one.  The loop is scalar Python: a vectorized classifier
+    costs about 25 us a call, more than the loop at the few orders of most
+    calls.
     """
-    rs = np.array(orders, dtype=float, ndmin=1)
     log_mean = np.empty(rs.size)
-    escort_mean = np.full(rs.size, math.nan) if escort else None
     zero, series, lse, near = [], [], [], []
     finite, scale = s.finite, s.scale
     for i, r in enumerate(rs.tolist()):
@@ -341,6 +341,29 @@ def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Mo
             series.append(i)
         else:
             near.append(i)
+    return log_mean, zero, series, lse, near
+
+
+def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Moments:
+    """``ln M_r`` of a log-support at every order of ``orders`` and, when
+    ``escort`` is set, the escort log mean ``E_rho[ln x]`` with
+    ``rho_i ~ w_i * x_i**r``.
+
+    This is the one kernel behind every mean, entropy and spectrum column;
+    :func:`log_power_mean` documents the branches and conventions, and
+    :func:`_order_rule` picks the branch of each order, deciding values at
+    0 and ``+inf`` there.  The log-sum-exp and expm1 orders are evaluated
+    in (orders x values) passes of at most ``_PASS_ELEMENTS``, and every
+    value is bitwise what a one-order call gives.  Each such order takes
+    exactly one exponential pass, through :func:`_moments_pass`, and its
+    escort mean comes from that pass's own rows, through
+    :func:`_escort_mean`.  The escort needs every value positive and
+    finite; it is NaN at ``+-inf``, at ``r = 0`` and in the subnormal
+    series.
+    """
+    rs = np.array(orders, dtype=float, ndmin=1)
+    log_mean, zero, series, lse, near = _order_rule(s, rs)
+    escort_mean = np.full(rs.size, math.nan) if escort else None
     if zero or series:
         if zero and s.log_lo == -math.inf and s.log_hi == math.inf:
             raise DiscontinuityError(
@@ -359,9 +382,9 @@ def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Mo
     # at a subnormal order, ln M_r of a support that drops mass overflows to
     # the -inf or +inf it tends to
     with np.errstate(over="ignore"):
-        for branch, kernel_pass in ((lse, _log_sum_exp_pass), (near, _expm1_pass)):
+        for branch, rows in ((lse, _shifted_exp_rows), (near, _expm1_rows)):
             for idx in _passes(branch, s.log_x.size):
-                log_mean[idx], escort_here = kernel_pass(s, rs[idx], escort)
+                log_mean[idx], escort_here = _moments_pass(rows, s, rs[idx], escort)
                 if escort:
                     escort_mean[idx] = escort_here
     # a power mean lies between the extreme values, which rounding alone
@@ -455,7 +478,7 @@ def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     * ``r = 0`` with both: raises :class:`DiscontinuityError`, because the
       two one-sided limits disagree and no value is meaningful.
     * ``r < 0`` with a zero value: ``-inf``.  ``r > 0`` with an infinite
-      value: ``+inf``.  Both are the extreme rule of :func:`_log_moments`.
+      value: ``+inf``.  Both are the extreme rule of :func:`_order_rule`.
     * ``r > 0`` with a zero value, and ``r < 0`` with an infinite one: that
       value's ``x**r`` is 0, so its weight counts in ``W`` but it adds
       nothing to the sum.
@@ -466,7 +489,7 @@ def log_power_mean(weights: ArrayLike, values: ArrayLike, r: float) -> float:
     to ``log1p(sum w_i*expm1(r*log(x_i)))/r``, whose error stays bounded all
     the way into the geometric limit, unless the values whose ``x**r`` is 0
     hold more than half the mass (the lost-mass rule of
-    :func:`_log_moments`).
+    :func:`_order_rule`).
     """
     return _LogSupport(*_as_weight_value_arrays(weights, values)).log_mean(_check_order(r))
 
@@ -492,36 +515,37 @@ def escort_distribution(weights: ArrayLike, values: ArrayLike, r: float) -> np.n
     the argmax / argmin ties of the values on the support, which is the
     pointwise limit.  So does a finite order at which ``r * e`` overflows,
     ``e`` the finite extreme ``ln x`` on ``r``'s side, as in the extreme
-    rule of :func:`_log_moments`: every other value's share is below the
+    rule of :func:`_order_rule`: every other value's share is below the
     doubles there.  Every other order takes the kernel's own row on the
-    ``_LogSupport`` of ``(weights, values)``: the escort weights are
-    ``e / total`` of :func:`_shifted_exp_rows`, bitwise.  Raises
-    :class:`DivergentEscortError` when some escort weight is infinite (a
-    value 0 at ``r < 0``, or ``+inf`` at ``r > 0``) and ValueError when
-    they are all zero.
+    ``_LogSupport`` of ``(weights, values)``, for the branch that the
+    kernel's :func:`_order_rule` picks: the escort weights are
+    ``rows / total`` of :func:`_expm1_rows` near ``r = 0`` and of
+    :func:`_shifted_exp_rows` elsewhere, bitwise, with overflow to 0
+    ignored as in the kernel.  Raises :class:`DivergentEscortError` when
+    some escort weight is infinite (a value 0 at ``r < 0``, or ``+inf`` at
+    ``r > 0``) and ValueError when they are all zero.
     """
     w, x = _as_weight_value_arrays(weights, values)
     r = _check_order(r)
-    s = _LogSupport(w, x)
+    s, rs = _LogSupport(w, x), np.array([r])
+    edge, zero, series, lse, near = _order_rule(s, rs)
     out = np.zeros_like(w)
-    edge = s.log_hi if r > 0 else s.log_lo
-    top = r * edge
-    if math.isinf(r) or math.isinf(top) and math.isfinite(edge):
+    if zero:
+        out[w > 0] = s.norm_w
+    elif lse or near or series:
+        with np.errstate(over="ignore"):
+            _, rho, total = (_shifted_exp_rows if lse else _expm1_rows)(s, rs)
+        out[w > 0] = rho[0] / total[0]
+    elif math.isinf(r) or math.isfinite(edge[0]):
         ties = x[w > 0] == (s.hi if r > 0 else s.lo)
         out[w > 0] = ties / ties.sum()
-    elif r == 0.0:
-        out[w > 0] = s.norm_w
+    elif r * edge[0] > 0:
+        raise DivergentEscortError(
+            f"escort weight diverges at order {r}: "
+            "a value is 0 with r < 0, or inf with r > 0"
+        )
     else:
-        # the extreme rule of _log_moments: a row whose top is infinite
-        if top == math.inf:
-            raise DivergentEscortError(
-                f"escort weight diverges at order {r}: "
-                "a value is 0 with r < 0, or inf with r > 0"
-            )
-        if top == -math.inf:
-            raise ValueError("all escort weights are zero")
-        _, e, total = _shifted_exp_rows(s, np.array([r]))
-        out[w > 0] = e[0] / total[0]
+        raise ValueError("all escort weights are zero")
     return out
 
 

@@ -147,8 +147,10 @@ def reference_log_moments(weights, values, r, escort=False):
     support, so ``ln M_r`` is bounded into ``[min ln x, max ln x]``, which
     rounding alone can overshoot by an ulp.
 
-    Where ``values is weights`` (a self-support) the log-sum-exp row is
-    the paper's ``w_hat**(1 + r)`` instead, shifted to its extreme:
+    Where the values equal the weights (a self-support: ``values is
+    weights``, or an equal first entry and equal arrays, as the library
+    tells one) the log-sum-exp row is the paper's ``w_hat**(1 + r)``
+    instead, shifted to its extreme:
     ``exp(c * (ln w_hat - ln w_hat_ext))``, ``c = 1 + r``, ``ext`` the
     largest ``ln w_hat`` where ``c > 0`` and the least elsewhere, with
     ``top = r * ln x_ext + ln w_hat_ext``."""
@@ -162,6 +164,7 @@ def reference_log_moments(weights, values, r, escort=False):
 def _unbounded_log_moments(weights, values, r, escort):
     w = np.asarray(weights, dtype=float)
     x = np.asarray(values, dtype=float)
+    own = values is weights or x[0] == w[0] and np.array_equal(x, w)
     w, x = w[w > 0], x[w > 0]
     total = w.sum()
     norm_w = w / total
@@ -189,7 +192,7 @@ def _unbounded_log_moments(weights, values, r, escort):
     with np.errstate(over="ignore"):
         scaled = r * log_x
     if abs(r) * scale > 1.0 or dropped > 0.5:
-        if values is weights:
+        if own:
             c = 1.0 + r
             ext = int(log_w.argmax() if c > 0.0 else log_w.argmin())
             top = r * float(log_x[ext]) + float(log_w[ext])
@@ -276,6 +279,23 @@ def reference_escort_log_mean(weights, values, r, digits=30):
         rd = Decimal(float(r))
         rho = [wh * (rd * di).exp() for wh, di in zip(w_hat, d)]
         return float(mu + sum(ri * di for ri, di in zip(rho, d)) / sum(rho))
+
+
+def reference_escort(weights, values, r, digits=30):
+    """The escort weights ``rho_k = w_hat_k x_k**r / sum_i w_hat_i x_i**r``
+    on the positive-weight support at a finite order ``r``, to about
+    ``digits`` significant digits in stdlib ``decimal`` arithmetic, as
+    ``w_hat_k e**(r d_k) / sum_i w_hat_i e**(r d_i)`` with the centred logs
+    of :func:`reference_log_mean_slope`.  Each weight is converted to the
+    nearest double, so one below the doubles comes back 0 or subnormal."""
+    pairs = [(float(wi), float(xi)) for wi, xi in zip(weights, values) if wi > 0]
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        w_hat, _, d = _centred_logs(pairs)
+        rd = Decimal(float(r))
+        rho = [wh * (rd * di).exp() for wh, di in zip(w_hat, d)]
+        total = sum(rho)
+        return [float(ri / total) for ri in rho]
 
 
 def reference_divergences(p, q, orders, digits=50):

@@ -21,7 +21,7 @@ from srenyi import (
     power_mean_derivative,
 )
 from srenyi.cli import main
-from srenyi.means import _log_mean_slope, _log_moments, _LogSupport, _shifted_exp_rows
+from srenyi.means import _expm1_rows, _log_mean_slope, _log_moments, _LogSupport, _shifted_exp_rows
 
 from support import (
     DROPPED_MASS_ORDERS,
@@ -37,6 +37,7 @@ from support import (
     near_flat_weights,
     power_pair,
     random_distribution,
+    reference_escort,
     reference_escort_log_mean,
     reference_log_mean,
     reference_log_mean_slope,
@@ -493,6 +494,19 @@ class TestEscort:
             assert escort_distribution(w, x, r).tolist() == expected
             assert log_power_mean(w, x, r) == math.log(max(x) if r > 0 else min(x))
 
+    @pytest.mark.parametrize("r", [-2e305, 2e305])
+    def test_row_overflow_gives_the_ties_limit(self, r):
+        """Where ``r ln x`` is finite but a self-support's row entry
+        ``(1 + r)(ln w_hat - ln w_hat_ext)`` overflows, the escort is the
+        ties limit, with no warning, as ``log_power_mean`` gives the
+        extreme there; for the weights and for a copy of them."""
+        w = np.array([1e-300, 1e300])
+        expected = [0.0, 1.0] if r > 0 else [1.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in (w, w.copy()):
+                assert escort_distribution(w, values, r).tolist() == expected
+
     def test_self_escort_at_minus_one_is_uniform(self, rng):
         """At ``r = -1`` the self-escort ``p_hat**(1 + r)`` is flat, and the
         self-support's rows are exactly 0 there: the escort is bitwise
@@ -542,6 +556,70 @@ class TestEscort:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="all escort weights are zero"):
                 escort_distribution([1, 1], [INF, INF], -1.0)
+
+
+class TestEscortAgainstDecimalOracle:
+    """``escort_distribution`` against a decimal evaluation, on self and
+    general supports spread over 1e+-200, within relative bounds per
+    positive weight fixed before any result was seen (``u = 2**-53``):
+
+    * ``16 u`` where every ``|r ln x| <= 1``, the expm1 rows;
+    * elsewhere ``u (16 + 8 m)``, ``m = (1 + |r|)(max|ln x| + max|ln w_hat|)``:
+      an escort weight is the exponential of a log weight whose absolute
+      rounding is a few ``u`` times the largest magnitude in its row.
+
+    A weight below the normal range is held to the same bound times the
+    smallest normal double, absolutely."""
+
+    NEAR = (-1e-300, 1e-300, -1e-9, 1e-9, -1e-5, 1e-5)
+    U = 2.0**-53
+
+    @staticmethod
+    def supports(rng):
+        for _ in range(6):
+            n = int(rng.integers(2, 16))
+            w = 10.0 ** rng.uniform(-200.0, 200.0, n)
+            yield w, w
+            yield 10.0 ** rng.uniform(-200.0, 200.0, n), 10.0 ** rng.uniform(-200.0, 200.0, n)
+
+    def test_near_and_default_grid_orders(self):
+        tiny = np.finfo(float).tiny
+        misses, near = [], 0
+        for w, x in self.supports(np.random.default_rng(30)):
+            support = _LogSupport(w, x)
+            width = float(np.abs(support.log_x).max()) + float(np.abs(support.log_w).max())
+            half = 0.5 / support.scale
+            grid = [r for r in OrderGrid.default().orders() if math.isfinite(r)]
+            for r in self.NEAR + (-half, half) + tuple(grid):
+                if abs(r) * support.scale <= 1.0:
+                    near += 1
+                    bound = 16.0 * self.U
+                else:
+                    bound = self.U * (16.0 + 8.0 * (1.0 + abs(r)) * width)
+                got = escort_distribution(w, x, r).tolist()
+                for k, want in enumerate(reference_escort(w, x, r, digits=40)):
+                    if not abs(got[k] - want) <= bound * max(want, tiny):
+                        misses.append((w is x, w.size, r, k, (got[k] - want) / max(want, tiny) / self.U))
+        assert near >= 12 * len(self.NEAR)
+        assert not misses
+
+
+class TestSelfSupportIsToldByItsValues:
+    """``(p, p)``, ``(p, p.copy())`` and two equal lists are one
+    self-support: every public mean function gives the same bits for the
+    three at every default-grid order."""
+
+    def test_default_grid(self):
+        p = np.random.default_rng(3).random(50)
+        for r in OrderGrid.default().orders():
+            for f in (log_power_mean, power_mean, escort_distribution, power_mean_derivative):
+                if f is power_mean_derivative and (r == 0.0 or math.isinf(r)):
+                    continue
+                own, copy, lists = (
+                    np.asarray(f(a, b, r)).tobytes()
+                    for a, b in ((p, p), (p, p.copy()), (p.tolist(), p.tolist()))
+                )
+                assert own == copy == lists, (f.__name__, r)
 
 
 class TestMeanDerivative:
@@ -696,15 +774,17 @@ class TestLogMeanAgainstDecimalOracle:
         assert not misses
 
     def test_self_support_agrees_with_the_general_path(self):
-        """A self-support is told by ``values is weights``; the same weights
-        passed as a copy take the general max-shifted rows.  The two agree
-        within the bound above at every default-grid order."""
+        """A self-support is told by its values, so a copy of the weights
+        builds one too; clearing its ``peaks`` sends it through the general
+        max-shifted rows.  The two agree within the bound above at every
+        default-grid order."""
         eps = np.finfo(float).eps
         orders = OrderGrid.default().orders()
         misses = []
         for w in self.supports(np.random.default_rng(0)):
             own, general = _LogSupport(w, w), _LogSupport(w, w.copy())
-            assert own.peaks is not None and general.peaks is None
+            assert own.peaks is not None and general.peaks == own.peaks
+            general.peaks = None
             got = _log_moments(own, orders)[0]
             want = _log_moments(general, orders)[0]
             for r, a, b in zip(orders, got.tolist(), want.tolist()):
@@ -789,8 +869,9 @@ class TestEscortMeanAgainstDecimalOracle:
 
 def test_expm1_orders_take_one_pass(monkeypatch):
     """Slopes at expm1-branch orders take their escort means from the
-    expm1 pass itself: one pass for the whole grid, no log-sum-exp pass."""
-    calls = {"_log_sum_exp_pass": 0, "_expm1_pass": 0}
+    expm1 rows themselves: one pass for the whole grid, no log-sum-exp
+    rows."""
+    calls = {"_shifted_exp_rows": 0, "_expm1_rows": 0}
     for name in calls:
         def counted(*args, _name=name, _pass=getattr(srenyi.means, name), **kwargs):
             calls[_name] += 1
@@ -802,7 +883,7 @@ def test_expm1_orders_take_one_pass(monkeypatch):
     orders = np.array([s * 10.0**k for k in range(-15, -1) for s in (1.0, -1.0)])
     assert (np.abs(orders) * support.scale <= 1.0).all()
     _log_mean_slope(support, orders)
-    assert calls == {"_log_sum_exp_pass": 0, "_expm1_pass": 1}
+    assert calls == {"_shifted_exp_rows": 0, "_expm1_rows": 1}
 
 
 def test_support_without_zero_weights_is_not_copied():
@@ -944,29 +1025,49 @@ class TestKernelIsTheOutOfPlaceFormula:
         assert _bits(log_mean) == _bits([lm for lm, _ in singles])
         assert _bits(escort_mean) == _bits([em for _, em in singles])
 
+    @staticmethod
+    def textbook_escort(support, r):
+        """The escort row of a finite support at a finite nonzero order by
+        the textbook formula of the order's branch:
+        ``(w_hat + w_hat * expm1(r ln x)) / (1 + sum(w_hat * expm1(r ln x)))``
+        where every ``|r ln x| <= 1``, and the max-shifted exponential of
+        ``ln w_hat + r ln x`` over its sum elsewhere."""
+        w_hat, log_x = support.norm_w, support.log_x
+        if abs(r) * support.scale <= 1.0:
+            terms = w_hat * np.expm1(r * log_x)
+            return (w_hat + terms) / (1.0 + terms.sum())
+        a = support.log_w + r * log_x
+        e = np.exp(a - a.max())
+        return e / e.sum()
+
     def test_escort_distribution(self, rng):
-        """The escort is the textbook max-shifted exponential of the
-        support's row ``ln w_hat + r ln x``, bitwise."""
+        """The escort is the textbook row of the order's branch, bitwise: the
+        expm1 row near order 0 and the max-shifted row elsewhere."""
         w = rng.uniform(0.0, 1.0, 500)
         x = np.exp(rng.uniform(-30.0, 30.0, 500))
         support = _LogSupport(w, x)
+        branches = set()
         for r in self.ORDERS:
             if r == 0.0 or math.isinf(r):
                 continue
-            a = support.log_w + r * support.log_x
-            e = np.exp(a - a.max())
-            assert escort_distribution(w, x, r).tobytes() == (e / e.sum()).tobytes()
+            branches.add(abs(r) * support.scale <= 1.0)
+            want = self.textbook_escort(support, r)
+            assert escort_distribution(w, x, r).tobytes() == want.tobytes(), r
+        assert branches == {False, True}
 
     def test_escort_distribution_is_the_kernel_row(self, rng):
         """Where the weight is positive, ``escort_distribution`` is bitwise
-        ``e / total`` of the kernel's own ``_shifted_exp_rows`` row, on
-        supports of every scale; zero weights stay exactly 0."""
+        ``rows / total`` of the kernel's own row function for the order's
+        branch, ``_expm1_rows`` where every ``|r ln x| <= 1`` and
+        ``_shifted_exp_rows`` elsewhere, on supports of every scale; zero
+        weights stay exactly 0."""
         for w, x in self.supports(rng):
             support = _LogSupport(w, x)
             for r in self.ORDERS:
                 if r == 0.0 or math.isinf(r):
                     continue
-                _, e, total = _shifted_exp_rows(support, np.array([r]))
+                near = abs(r) * support.scale <= 1.0
+                _, rho, total = (_expm1_rows if near else _shifted_exp_rows)(support, np.array([r]))
                 got = escort_distribution(w, x, r)
-                assert got[w > 0].tobytes() == (e[0] / total[0]).tobytes(), (w.size, r)
+                assert got[w > 0].tobytes() == (rho[0] / total[0]).tobytes(), (w.size, r)
                 assert not got[w == 0].any()
