@@ -126,16 +126,27 @@ def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> _Rows:
     ``sum w_hat**(1 + r)``: with ``x = w_hat * W`` the mass displacement
     makes the entry ``c * ln w_hat + r * ln W``, ``c = 1 + r``, so its
     largest entry is known in advance, at the largest ``w_hat`` where
-    ``c > 0`` and at the smallest where ``c < 0``.  The row minus its top
-    is ``c * (ln w_hat - ln w_hat_ext)``, the difference taken first, so
-    that no entry is ``inf - inf`` where ``c * ln w_hat`` alone overflows.
-    It is at most 0, exactly 0 at the extreme and everywhere at
+    ``c > 0`` and at the smallest where ``c <= 0``.  The row minus its top
+    is ``c * d``, ``d = ln w_hat - ln w_hat_ext``, the difference taken
+    first, so that no entry is ``inf - inf`` where ``c * ln w_hat`` alone
+    overflows.  It is at most 0, exactly 0 at the extreme and everywhere at
     ``r = -1``, and needs neither a max nor an add pass.  ``top`` is the
     general row's own entry at the extreme, ``r * ln x_ext + ln w_hat_ext``,
     so no rounding of ``ln W`` enters.  Every other support takes the
-    max-shifted row.  An entry ``c * (ln w_hat - ln w_hat_ext)`` may still
-    overflow to ``-inf`` where ``r * ln x`` does not, so callers run this
-    under ``errstate(over="ignore")``.
+    max-shifted row.  An entry ``c * d`` may still overflow to ``-inf``
+    where ``r * ln x`` does not, so callers run this under
+    ``errstate(over="ignore")``.
+
+    ``d`` is one array for every order on one side of ``c = 0``, so each
+    side's rows are one product per row: ``d`` is written into the side's
+    first row, the other rows are ``c * d`` by one ``np.einsum`` outer
+    product, and the first row is scaled in place last.  No array of ``d``
+    of its own is allocated: at ``n = 10**5``, one order a pass, a second
+    row-sized array faults in fresh pages on every pass.  Each entry is the
+    one rounded product ``c * d``, as a broadcast multiply gives it, but
+    for the sign of a zero, which ``exp`` maps to 1 either way.  The
+    orders must come with every ``c <= 0`` before every ``c > 0``, as
+    :func:`_order_rule` lists them; others raise ValueError.
     """
     if s.peaks is None:
         a = np.multiply.outer(r, s.log_x)
@@ -144,12 +155,21 @@ def _shifted_exp_rows(s: _LogSupport, r: np.ndarray) -> _Rows:
         a -= top[:, None]
     else:
         c = 1.0 + r
-        (lo_w, lo_x), (hi_w, hi_x) = s.peaks
         up = c > 0.0
-        ext = np.where(up, hi_w, lo_w)
-        top = r * np.where(up, hi_x, lo_x) + ext
-        a = np.add.outer(-ext, s.log_w)
-        a *= c[:, None]
+        k = r.size - np.count_nonzero(up)
+        if np.count_nonzero(up[:k]):
+            raise ValueError("self-support orders must list every 1 + r <= 0 first")
+        a, top = np.empty((r.size, s.log_w.size)), np.empty(r.size)
+        for side, (w_ext, x_ext) in zip((slice(0, k), slice(k, None)), s.peaks):
+            rows, cs = a[side], c[side]
+            if cs.size:
+                np.multiply(r[side], x_ext, out=top[side])
+                top[side] += w_ext
+                d = rows[0]
+                np.subtract(s.log_w, w_ext, out=d)
+                if cs.size > 1:
+                    np.einsum("i,j->ij", cs[1:], d, out=rows[1:])
+                d *= cs[0]
     np.exp(a, out=a)
     total = a.sum(axis=1)
     return top + np.log(total), a, total
@@ -322,26 +342,38 @@ def _order_rule(
       without cancelling.
 
     Both rules read only scalars of the support; the second is skipped on
-    a ``finite`` one.  The loop is scalar Python: a vectorized classifier
-    costs about 25 us a call, more than the loop at the few orders of most
-    calls.
+    a ``finite`` one.  The log-sum-exp orders are listed with every
+    ``1 + r <= 0`` before every ``1 + r > 0`` (``r > -1`` exactly where
+    ``1 + r > 0``), the grouping that :func:`_shifted_exp_rows` needs on a
+    self-support, and so does every pass cut from the list.
+
+    The loop is scalar Python: a vectorized classifier costs about 25 us a
+    call, more than the loop at the few orders of most calls.  It tests the
+    common case first, a log-sum-exp order on a ``finite`` support:
+    ``1 < |r| * scale < inf``.  There ``r`` is neither 0 nor infinite, and
+    ``|r * e| <= |r| * scale`` (``|e| <= scale``, and rounding keeps the
+    order), so ``r * e`` cannot overflow and the extreme rule cannot take
+    the order.  The chain below decides every other order.
     """
     log_mean = np.empty(rs.size)
-    zero, series, lse, near = [], [], [], []
-    finite, scale = s.finite, s.scale
+    zero, series, down, up, near = [], [], [], [], []
+    finite, scale, inf = s.finite, s.scale, math.inf
     for i, r in enumerate(rs.tolist()):
+        if finite and 1.0 < abs(r) * scale < inf:
+            (up if r > -1.0 else down).append(i)
+            continue
         edge = s.log_hi if r > 0 else s.log_lo
         if r == 0.0:
             zero.append(i)
         elif math.isinf(r) or math.isinf(r * edge):
             log_mean[i] = edge
         elif abs(r) * scale > 1.0 or not finite and s.dropped[r > 0] > 0.5:
-            lse.append(i)
+            (up if r > -1.0 else down).append(i)
         elif finite and abs(r) * scale < 1e-300:
             series.append(i)
         else:
             near.append(i)
-    return log_mean, zero, series, lse, near
+    return log_mean, zero, series, down + up, near
 
 
 def _log_moments(s: _LogSupport, orders: ArrayLike, escort: bool = False) -> _Moments:

@@ -311,6 +311,12 @@ def _invert(
     short of it by more than the rounding of ``ln pi`` can explain; within
     that rounding no order can meet ``tol``, and :class:`ConvergenceError`
     is raised, as it is when an iterate stops moving.
+
+    Each round first settles the targets that are done or past the cap and
+    compacts the open ones, once; only then are their brackets moved and
+    their steps taken.  Every update is elementwise, so the iterates are
+    those of updating every target and compacting after, but a late round,
+    where nearly every target is done, works on the few that are not.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -357,29 +363,34 @@ def _invert(
         lp, slope = _log_mean_slope(support, r)
         f = lp - log_t
         miss = np.expm1(f)
+        done = np.abs(miss) <= tol
+        keep = ~done
+        if done.any():
+            hit = idx[done]
+            orders[hit] = r[done]
+            log_pi[hit] = lp[done]
+        at_cap = np.abs(r) >= BRACKET_CAP
+        if at_cap.any():
+            # short at the cap by more than rounding: the root is beyond it
+            past = keep & at_cap & ((f < 0.0) == (r > 0.0)) & (np.abs(f) > slack)
+            orders[idx[past]] = np.copysign(math.inf, r[past])
+            keep &= ~past
+        if not keep.all():
+            idx, log_t, lo, hi, r, f, slope, miss = (
+                a[keep] for a in (idx, log_t, lo, hi, r, f, slope, miss)
+            )
+            if not idx.size:
+                break
         below = f < 0.0
-        size = np.abs(r)
         # an end that reads on the wrong side of t, by rounding, gives way to the cap
         lo = np.where(below, r, np.where(r <= lo, -BRACKET_CAP, lo))
         hi = np.where(below, np.where(r >= hi, BRACKET_CAP, hi), r)
         d = f / slope
-        step = r - d / np.where(size > 1.0, 1.0 + d / r, 1.0)
+        step = r - d / np.where(np.abs(r) > 1.0, 1.0 + d / r, 1.0)
         end = np.where(below, hi, lo)  # the end the root lies toward
         r_next = np.where(np.abs(end) == BRACKET_CAP, end, 0.5 * (lo + hi))
         r_next = np.where((lo < step) & (step < hi), step, r_next)
-        done = np.abs(miss) <= tol
-        hit = idx[done]
-        orders[hit] = r[done]
-        log_pi[hit] = lp[done]
-        keep = ~done
-        at_cap = size >= BRACKET_CAP
-        if at_cap.any():
-            # short at the cap by more than rounding: the root is beyond it
-            past = keep & at_cap & (below == (r > 0.0)) & (np.abs(f) > slack)
-            orders[idx[past]] = np.copysign(math.inf, r[past])
-            keep &= ~past
-        idx, log_t, lo, hi = idx[keep], log_t[keep], lo[keep], hi[keep]
-        r_last, miss, r = r[keep], miss[keep], r_next[keep]
+        r_last, r = r, r_next
         stuck = r == r_last  # it would repeat at every later step
         if stuck.any():
             idx, r_last, miss = idx[stuck], r_last[stuck], miss[stuck]

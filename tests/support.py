@@ -7,11 +7,13 @@ stress cases, which is part of what gets tested).  The Kolmogorov-Nagumo
 means and the identity routes of the paper (escort rewrites, skew symmetry,
 self-information, mass displacement) live here too: they use only the
 public ``srenyi`` API and numpy, so they share no private code with what
-they check.  The textbook out-of-place kernel formulas, the input
-reader as it was before it streamed and the dict-based label grouping of
-the recovery and the row-wise law check of ``SpectrumTable.validate`` are
-kept here as oracles too (the reader borrows the library's JSON record
-parse, which it does not check).
+they check.  The textbook out-of-place kernel formulas, the kernel's
+order rule as one plain chain, a float log-domain equivalent probability
+that shares no code with the kernel, the input reader as it was before it
+streamed and the dict-based label grouping of the recovery and the
+row-wise law check of ``SpectrumTable.validate`` are kept here as oracles
+too (the reader borrows the library's JSON record parse, which it does not
+check).
 """
 
 from __future__ import annotations
@@ -176,22 +178,19 @@ def _unbounded_log_moments(weights, values, r, escort):
             np.log(w) - math.log(total),
         )
         log_x = np.log(x)
-    finite = np.isfinite(log_x)
-    scale = float(np.abs(log_x[finite]).max()) if finite.any() else 0.0
-    edge = float(log_x.max() if r > 0 else log_x.min())
-    dropped = float(norm_w[log_x == (-math.inf if r > 0 else math.inf)].sum())
+    branch = reference_branch(log_x, norm_w, r)
 
     def escort_mean(rho, total):
         dot = np.dot(rho, log_x) if log_x.size <= 8192 else np.einsum("j,j->", rho, log_x)
         return float(dot) / total
 
-    if r == 0.0:
+    if branch == "zero":
         return float(np.sum(norm_w * log_x)), None
-    if math.isinf(r) or math.isinf(r * edge):
-        return edge, None
+    if branch == "extreme":
+        return float(log_x.max() if r > 0 else log_x.min()), None
     with np.errstate(over="ignore"):
         scaled = r * log_x
-    if abs(r) * scale > 1.0 or dropped > 0.5:
+    if branch == "lse":
         if own:
             c = 1.0 + r
             ext = int(log_w.argmax() if c > 0.0 else log_w.argmin())
@@ -204,7 +203,7 @@ def _unbounded_log_moments(weights, values, r, escort):
         e_total = float(e.sum())
         log_mean = (top + float(np.log(e_total))) / r
         return log_mean, escort_mean(e, e_total) if escort else None
-    if finite.all() and abs(r) * scale < 1e-300:
+    if branch == "series":
         geo = float(np.sum(norm_w * log_x))
         var = float(np.sum(norm_w * (log_x - geo) ** 2))
         return geo + 0.5 * r * var, None
@@ -212,6 +211,54 @@ def _unbounded_log_moments(weights, values, r, escort):
     excess = float(np.sum(terms))
     log_mean = float(np.log1p(excess)) / r
     return log_mean, escort_mean(norm_w + terms, 1.0 + excess) if escort else None
+
+
+def reference_branch(log_x, norm_w, r) -> str:
+    """The branch that the kernel's order rule gives the order ``r``, as one
+    plain chain over the logs of the values on the support and their
+    normalized weights: ``"zero"``, ``"extreme"`` (``r`` or ``r`` times the
+    extreme ``ln x`` on its side is infinite), ``"lse"`` (``|r| * scale > 1``,
+    ``scale`` the largest finite ``|ln x|``, or the values whose ``x**r`` is
+    0 hold more than half the mass), ``"series"`` (``|r| * scale < 1e-300``
+    on a support of finite logs) or ``"near"``."""
+    finite = np.isfinite(log_x)
+    scale = float(np.abs(log_x[finite]).max()) if finite.any() else 0.0
+    edge = float(log_x.max() if r > 0 else log_x.min())
+    dropped = float(norm_w[log_x == (-math.inf if r > 0 else math.inf)].sum())
+    if r == 0.0:
+        return "zero"
+    if math.isinf(r) or math.isinf(r * edge):
+        return "extreme"
+    if abs(r) * scale > 1.0 or dropped > 0.5:
+        return "lse"
+    if finite.all() and abs(r) * scale < 1e-300:
+        return "series"
+    return "near"
+
+
+def reference_log_equiv_prob(weights, r) -> float:
+    """``ln pi_r`` of the distribution ``weights / sum(weights)`` at a finite
+    nonzero order ``r``, in float64 logs by a route of its own:
+    ``ln pi_r = mu + K / r`` with ``mu = sum p ln p`` and the centred
+    log-moment ``K = ln(sum p e**(r d) / sum p)``, ``d = ln p - mu``, every
+    sum a ``math.fsum``.  ``K`` is ``log1p`` of ``sum p expm1(r d)`` where
+    every ``|r d| <= 1``, whose rounding stays a multiple of ``r``, and
+    ``m + ln(sum p e**(r d - m))``, ``m = max(r d)``, elsewhere; so
+    ``ln pi_r`` is good to a few units of ``eps * max |d|``, about 1e-14 on
+    weights spread over 1e12.  The weights must be positive."""
+    w = np.asarray(weights, dtype=float)
+    total = math.fsum(w.tolist())
+    p = w / total
+    log_p = np.log(w) - math.log(total)
+    mu = math.fsum((p * log_p).tolist())
+    rd = r * (log_p - mu)
+    mass = math.fsum(p.tolist())
+    if np.abs(rd).max() <= 1.0:
+        k = math.log1p(math.fsum((p * np.expm1(rd)).tolist()) / mass)
+    else:
+        m = float(rd.max())
+        k = m + math.log(math.fsum((p * np.exp(rd - m)).tolist()) / mass)
+    return mu + k / r
 
 
 def _centred_logs(pairs):

@@ -2,6 +2,7 @@
 algebraic properties that make them means."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,14 @@ from srenyi import (
     power_mean_derivative,
 )
 from srenyi.cli import main
-from srenyi.means import _expm1_rows, _log_mean_slope, _log_moments, _LogSupport, _shifted_exp_rows
+from srenyi.means import (
+    _expm1_rows,
+    _log_mean_slope,
+    _log_moments,
+    _LogSupport,
+    _order_rule,
+    _shifted_exp_rows,
+)
 
 from support import (
     DROPPED_MASS_ORDERS,
@@ -37,6 +45,7 @@ from support import (
     near_flat_weights,
     power_pair,
     random_distribution,
+    reference_branch,
     reference_escort,
     reference_escort_log_mean,
     reference_log_mean,
@@ -1006,11 +1015,17 @@ class TestKernelIsTheOutOfPlaceFormula:
         log-sum-exp and 400 expm1 orders in random order, mixed with +-inf,
         0 and the subnormal series orders +-1e-310, spans several passes of
         each branch, and still gives every ``ln M_r`` and every escort
-        bitwise as one-order calls do."""
+        bitwise as one-order calls do.  A self-support builds the rows on
+        each side of ``c = 1 + r = 0`` from one ``d = ln w_hat - ln
+        w_hat_ext`` by one einsum, so the seam is in the call too:
+        ``r = -1`` (every entry 0) and its two neighbours.  Below the seam,
+        ``c * d`` is ``-0.0`` at the tied least weights, where einsum gives
+        ``+0.0`` and a one-order call ``-0.0``; both ``exp`` to 1."""
         n = 200
         assert srenyi.means._PASS_ELEMENTS // n == 327
         rng = np.random.default_rng(16)
         p = rng.random(n)
+        p[1:3], p[3:5] = p.min(), p.max()  # tied extremes
         p /= p.sum()
         support = _LogSupport(p, p)
         signs = rng.choice([-1.0, 1.0], 800)
@@ -1018,7 +1033,9 @@ class TestKernelIsTheOutOfPlaceFormula:
         near = 10.0 ** rng.uniform(-15.0, -2.5, 400)
         assert (lse * support.scale > 1.0).all()
         assert (near * support.scale <= 1.0).all() and (near * support.scale >= 1e-300).all()
-        orders = np.concatenate((signs * np.concatenate((lse, near)), [-INF, INF, 0.0, -1e-310, 1e-310]))
+        seam = [-1.0, math.nextafter(-1.0, -INF), math.nextafter(-1.0, INF), -1.5, -2.0]
+        special = [-INF, INF, 0.0, -1e-310, 1e-310, *seam]
+        orders = np.concatenate((signs * np.concatenate((lse, near)), special))
         rng.shuffle(orders)
         log_mean, escort_mean = _log_moments(support, orders, escort=True)
         singles = [self.one_order(support, r, escort=True) for r in orders.tolist()]
@@ -1071,3 +1088,98 @@ class TestKernelIsTheOutOfPlaceFormula:
                 got = escort_distribution(w, x, r)
                 assert got[w > 0].tobytes() == (rho[0] / total[0]).tobytes(), (w.size, r)
                 assert not got[w == 0].any()
+
+    def test_self_support_rows_need_grouped_orders(self):
+        """A self-support's rows come one side of ``1 + r = 0`` at a time,
+        so ``_shifted_exp_rows`` takes its orders with every ``1 + r <= 0``
+        first, as the order rule lists them, and raises on any other
+        arrangement rather than build a row from the wrong extreme."""
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        support = _LogSupport(p, p)
+        with np.errstate(over="ignore"):
+            _shifted_exp_rows(support, np.array([-3.0, -1.0, -0.5, 2.0]))
+            with pytest.raises(ValueError, match="first"):
+                _shifted_exp_rows(support, np.array([-3.0, 2.0, -1.0]))
+
+
+def _rule_orders(scale):
+    """Orders at every edge of the order rule: signed zeros and
+    infinities, the largest doubles and +-1e300, where ``r * e`` starts to
+    overflow, the subnormals and the series bound, the seam ``r = -1`` of a
+    self-support's rows, and ``1 / scale``, where the log-sum-exp branch
+    starts; each with its two neighbours, and with either sign."""
+    edges = [1e300, 1.7e308, float(np.finfo(float).max), 5e-324, 2.0**-1022, 1e-300, 1.0]
+    if scale > 0.0:
+        edges += [1.0 / scale, 1e-300 / scale]
+    near = [math.nextafter(v, to) for v in edges for to in (0.0, INF)]
+    magnitudes = [0.0, INF, *edges, *near]
+    return [m for v in magnitudes for m in (v, -v)]
+
+
+@st.composite
+def rule_supports(draw):
+    """``(weights, values)`` of 1-6 points: a self-support, values spread
+    over the doubles, or values that include 0 and ``+inf``."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    w = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=n, max_size=n))
+    w = np.array(w)
+    kind = draw(st.sampled_from(["self", "finite", "zero-inf"]))
+    if kind == "self":
+        return w, w
+    finite = st.floats(min_value=5e-324, max_value=np.finfo(float).max)
+    value = finite | st.sampled_from([0.0, INF]) if kind == "zero-inf" else finite
+    return w, np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+class TestOrderRule:
+    """``_order_rule`` is the plain chain of ``support.reference_branch``,
+    with its common case tested first."""
+
+    @given(rule_supports(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_branches_as_the_plain_chain(self, support_data, data):
+        w, x = support_data
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
+        support = _LogSupport(w, x)
+        orders = data.draw(
+            st.lists(st.sampled_from(_rule_orders(support.scale)) | st.floats(allow_nan=False),
+                     min_size=1, max_size=40)
+        )
+        rs = np.array(orders)
+        log_mean, zero, series, lse, near = _order_rule(support, rs)
+        listed = zero + series + lse + near
+        assert len(set(listed)) == len(listed)
+        got = ["extreme"] * rs.size
+        for name, idx in (("zero", zero), ("series", series), ("lse", lse), ("near", near)):
+            for i in idx:
+                got[i] = name
+        want = [reference_branch(log_x, w / w.sum(), r) for r in orders]
+        assert got == want, orders
+        for i, r in enumerate(orders):
+            if want[i] == "extreme":
+                assert log_mean[i] == (log_x.max() if r > 0 else log_x.min()), r
+        up = [orders[i] > -1.0 for i in lse]
+        assert up == sorted(up), "every 1 + r <= 0 comes first"
+
+
+class TestKernelMemory:
+    def test_transient_memory_of_a_large_call(self):
+        """A kernel call holds little more than the row of the pass it is
+        in: on a self-support of 10**5 values, one order a pass, the
+        ``tracemalloc`` peak of ``_log_mean_slope`` over the default grid
+        stays under 1.5 rows.  A second row-sized array beside each pass's
+        rows, such as its own ``d = ln w_hat - ln w_hat_ext``, takes it to
+        about 2 rows."""
+        n = 10**5
+        p = np.random.default_rng(5).random(n)
+        p /= p.sum()
+        support = _LogSupport(p, p)
+        orders = OrderGrid.default().finite_orders
+        tracemalloc.start()
+        try:
+            _log_mean_slope(support, orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n, peak / (8 * n)
